@@ -60,7 +60,6 @@ from .projection import (
     spiric_residual,
     stereo_s2,
     stereo_s3,
-    write_csv,
     write_obj,
 )
 from .sphere import (

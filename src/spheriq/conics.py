@@ -13,7 +13,9 @@ K(z)^2 = z^2 / (mu + c z^2).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -331,8 +333,33 @@ def momentum_coeffs(conic: CylinderConic) -> MomentumCoeffs:
 
 
 def discriminant(mc: MomentumCoeffs) -> float:
-    """(mu - c + 1)^2 + 4 c mu, positive on every admissible region."""
-    return (mc.mu - mc.c + 1) ** 2 + 4 * mc.c * mc.mu
+    """(mu - c + 1)^2 + 4 c mu, positive on every admissible region.
+
+    Evaluated exactly in rationals and rounded once: near the type-I
+    boundary its terms cancel, and rounding them would cost the turning
+    points their digits.
+    """
+    mu, c = Fraction(mc.mu), Fraction(mc.c)
+    return float((mu - c + 1) ** 2 + 4 * c * mu)
+
+
+def turning_squares(mc: MomentumCoeffs) -> tuple[float, float]:
+    """Both roots of c X^2 + (mu - c + 1) X - mu, smaller first.
+
+    They are the zeros in X = z^2 of (1 - z^2 - K^2)(mu + c z^2), i.e. the
+    squared turning latitudes of K, and the larger one is the horizontal
+    cylinder's D^2.  The root of smaller magnitude comes from the root
+    product, so neither cancels.
+    """
+    if mc.c == 0.0:
+        raise OutOfRegion("turning squares need c != 0")
+    disc = discriminant(mc)
+    if disc <= 0.0:
+        raise OutOfRegion(f"negative discriminant {disc} for (mu={mc.mu}, c={mc.c})")
+    b = mc.c - mc.mu - 1.0
+    q = 0.5 * (b + math.copysign(math.sqrt(disc), b))
+    r1, r2 = q / mc.c, -mc.mu / q
+    return (r1, r2) if r1 <= r2 else (r2, r1)
 
 
 def region_of(mc: MomentumCoeffs) -> ConicClass:

@@ -38,7 +38,7 @@ class NoFeasibleRegion(SpheriqError):
 
 
 class QuadratureFailure(SpheriqError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """The quadrature chart does not apply to the integrand."""
 
 
 class OutOfDomain(SpheriqError):

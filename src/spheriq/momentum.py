@@ -3,23 +3,21 @@
 A profile determines a unit-speed spherical curve, up to rotation about the
 z-axis, through two integrals: the arc length s(z) = int dz / sqrt(g) with
 g(z) = 1 - z^2 - K(z)^2, inverted to z(s), and the longitude
-lambda(s) = int K(z(s)) / (z(s)^2 - 1) ds.  The integrand 1/sqrt(g) has an
-integrable square-root singularity wherever g has a simple zero (a turning
-point of the latitude); substituting z = m + r sin(u) over a feasible
-interval with turning endpoints removes it entirely, leaving smooth
-integrands in u that are handled by fixed Gauss panels and, for one-off
-integrals, adaptive quadrature.
+lambda(s) = int K(z(s)) / (z(s)^2 - 1) ds.  For every family g times the
+profile's denominator is a quadratic in t = z^2, so the turning latitudes
+(the zeros of g) are known in closed form.  The integrand 1/sqrt(g) has an
+integrable square-root singularity at each of them; substituting
+z = m + r sin(u) over a feasible interval removes it entirely, leaving
+smooth integrands in u that are handled by fixed Gauss panels.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
+from .conics import MomentumCoeffs, discriminant, turning_squares
 from .errors import (
     BadParameter,
     DegenerateInput,
@@ -46,9 +44,14 @@ class MomentumProfile:
     def derivative(self, z):
         raise NotImplementedError
 
-    def domain(self) -> list[tuple[float, float]]:
-        """Open intervals of definition inside (-1, 1)."""
-        return [(-1.0, 1.0)]
+    def turning_points(self) -> tuple[float, float]:
+        """(t_lo, t_hi): the band of t = z^2 on which g > 0.
+
+        Its ends are the squared turning latitudes.  t_lo = 0 stands for one
+        band through the equator, t_lo > 0 for two bands mirrored in it.
+        Raises NoFeasibleRegion where g > 0 holds nowhere.
+        """
+        raise NotImplementedError
 
     def g(self, z):
         """Feasibility function 1 - z^2 - K(z)^2."""
@@ -59,12 +62,12 @@ class MomentumProfile:
         return -2.0 * np.asarray(z) - 2.0 * self.value(z) * self.derivative(z)
 
     def h_factor(self, z, z_lo: float, z_hi: float):
-        """g / ((z - z_lo)(z_hi - z)) in cancellation-free form, if known.
+        """g / ((z - z_lo)(z_hi - z)) over a feasible interval (z_lo, z_hi).
 
-        Families override this with the algebraic factorization of g over the
-        feasible interval (z_lo, z_hi); None falls back to the raw ratio.
+        Each family divides the quadratic in z^2 by its turning-point factors
+        algebraically, so the quotient is free of cancellation.
         """
-        return None
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,9 @@ class ConstantMomentum(MomentumProfile):
     def derivative(self, z):
         return np.zeros_like(np.asarray(z, dtype=float))
 
+    def turning_points(self):
+        return 0.0, (1.0 - self.k) * (1.0 + self.k)  # g = 1 - k^2 - t
+
     def h_factor(self, z, z_lo, z_hi):
         # g = (1 - k^2) - z^2 factors exactly over (-z*, z*)
         return np.ones_like(np.asarray(z, dtype=float))
@@ -99,6 +105,9 @@ class LinearMomentum(MomentumProfile):
 
     def derivative(self, z):
         return np.full_like(np.asarray(z, dtype=float), self.k0)
+
+    def turning_points(self):
+        return 0.0, 1.0 / (1.0 + self.k0 * self.k0)  # g = 1 - (1 + k0^2) t
 
     def h_factor(self, z, z_lo, z_hi):
         # g = 1 - (1 + k0^2) z^2
@@ -128,21 +137,22 @@ class QuadricMomentum(MomentumProfile):
     def derivative(self, z):
         return self.sign * self.mu / np.sqrt(self._den(z) ** 3)
 
-    def domain(self):
-        if self.c == 0.0:
-            return [(-1.0, 1.0)] if self.mu > 0 else []
-        z_d2 = -self.mu / self.c
-        if self.c > 0:
-            if self.mu > 0:
-                return [(-1.0, 1.0)]
-            z_d = np.sqrt(z_d2)
-            if z_d >= 1.0:
-                return []
-            return [(-1.0, -z_d), (z_d, 1.0)]
-        if self.mu < 0:
-            return []
-        z_d = np.sqrt(z_d2)
-        return [(-min(1.0, z_d), min(1.0, z_d))]
+    def turning_points(self):
+        # g (mu + c t) = q(t) = -c t^2 + (c - mu - 1) t + mu with q(0) = mu and
+        # q(1) = -1, and g -> -inf where mu + c t -> 0+.  For mu > 0 the band
+        # runs from the equator to the first positive root of q; for mu < 0 it
+        # lies between both roots, which are real and inside the domain
+        # mu + c t > 0 exactly on region I.
+        mu, c = self.mu, self.c
+        mc = MomentumCoeffs(mu, c)
+        if mu > 0.0:
+            if c == 0.0:
+                return 0.0, mu / (mu + 1.0)
+            t1, t2 = turning_squares(mc)
+            return 0.0, (t2 if c > 0.0 else t1)
+        if c > 0.0 and mu + c > 1.0 and discriminant(mc) > 0.0:
+            return turning_squares(mc)
+        raise NoFeasibleRegion("K(z)^2 + z^2 < 1 holds nowhere")
 
     def h_factor(self, z, z_lo, z_hi):
         # g (mu + c z^2) = -c (z^2 - r1)(z^2 - r2); the interval endpoints are
@@ -182,13 +192,15 @@ class SpheroCylindricalMomentum(MomentumProfile):
         num = -(z2 ** 3) + 6.0 * z2 * z2 + 12.0 * a2 * z2 - 8.0 * a2
         return num / np.sqrt(self._w(z) ** 3)
 
-    def domain(self):
-        return [(-1.0, 1.0)]  # W > 0 on all of [-1, 1]
+    def turning_points(self):
+        # g W = 4 a^2 (1 - t) - t^2; the positive root 2|a| (sqrt(a^2 + 1) - |a|)
+        # is written without the difference
+        a = abs(self.a)
+        return 0.0, 2.0 * a / (a + float(np.sqrt(a * a + 1.0)))
 
     def turning_latitude(self) -> float:
         """Positive root of z^4 + 4 a^2 z^2 - 4 a^2 (edge of the feasible band)."""
-        a2 = self.a * self.a
-        return float(np.sqrt(2.0 * abs(self.a) * (np.sqrt(a2 + 1.0) - abs(self.a))))
+        return float(np.sqrt(self.turning_points()[1]))
 
     def h_factor(self, z, z_lo, z_hi):
         # g W = 4 a^2 (1 - z^2) - z^4 = (t^2 - z^2)(z^2 + 4 a^2 / t^2)
@@ -233,19 +245,16 @@ def profile_to_json(p: MomentumProfile) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class EndpointKind(enum.Enum):
-    TURNING_POINT = "TurningPoint"
-    DOMAIN_EDGE = "DomainEdge"
-
-
 @dataclass(frozen=True)
 class FeasibleInterval:
-    """Maximal open interval where g = 1 - z^2 - K^2 is positive."""
+    """Maximal open interval where g = 1 - z^2 - K^2 is positive.
+
+    Both ends are turning points, simple zeros of g: g(+-1) = -K(+-1)^2 <= 0,
+    and g -> -inf at the edge of a quadric profile's domain.
+    """
 
     z_lo: float
     z_hi: float
-    lo_kind: EndpointKind = EndpointKind.TURNING_POINT
-    hi_kind: EndpointKind = EndpointKind.TURNING_POINT
 
     def __post_init__(self):
         if not (-1.0 <= self.z_lo < self.z_hi <= 1.0):
@@ -256,69 +265,13 @@ class FeasibleInterval:
         return self.z_hi - self.z_lo
 
 
-def _polish_root(p: MomentumProfile, z: float, lo: float, hi: float) -> float:
-    """Newton-polish a simple zero of g; keeps the root inside (lo, hi)."""
-    for _ in range(3):
-        gp = float(p.g_prime(z))
-        if gp == 0.0:
-            break
-        step = float(p.g(z)) / gp
-        z_new = z - step
-        if not (lo <= z_new <= hi):
-            break
-        z = z_new
-    return z
-
-
-def feasible_intervals(p: MomentumProfile, grid_n: int = 2048) -> list[FeasibleInterval]:
+def feasible_intervals(p: MomentumProfile) -> list[FeasibleInterval]:
     """All maximal open intervals of {g > 0} inside (-1, 1) and dom K."""
-    if grid_n < 64:
-        raise DegenerateInput(f"grid_n must be >= 64, got {grid_n}")
-    out: list[FeasibleInterval] = []
-    for a, b in p.domain():
-        a, b = max(a, -1.0), min(b, 1.0)
-        if b <= a:
-            continue
-        eps = 1e-12 * max(1.0, b - a)
-        zg = np.linspace(a + eps, b - eps, grid_n)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            gv = np.asarray(p.g(zg))
-        gv = np.where(np.isfinite(gv), gv, -1.0)
-        pos = gv > 0.0
-        if not np.any(pos):
-            continue
-        # locate maximal runs of positive g, refining endpoints by bisection
-        idx = np.flatnonzero(np.diff(pos.astype(int)))
-        starts = [0] if pos[0] else []
-        ends: list[int] = []
-        for i in idx:
-            if pos[i + 1]:
-                starts.append(i + 1)
-            else:
-                ends.append(i)
-        if pos[-1]:
-            ends.append(grid_n - 1)
-        for i0, i1 in zip(starts, ends):
-            if i0 > 0:
-                z_lo = brentq(lambda z: float(p.g(z)), zg[i0 - 1], zg[i0], xtol=1e-15)
-                z_lo = _polish_root(p, z_lo, zg[i0 - 1], zg[i0])
-                lo_kind = EndpointKind.TURNING_POINT
-            else:
-                z_lo, lo_kind = a, EndpointKind.DOMAIN_EDGE
-                if abs(float(p.g(a))) < 1e-10:
-                    lo_kind = EndpointKind.TURNING_POINT
-            if i1 < grid_n - 1:
-                z_hi = brentq(lambda z: float(p.g(z)), zg[i1], zg[i1 + 1], xtol=1e-15)
-                z_hi = _polish_root(p, z_hi, zg[i1], zg[i1 + 1])
-                hi_kind = EndpointKind.TURNING_POINT
-            else:
-                z_hi, hi_kind = b, EndpointKind.DOMAIN_EDGE
-                if abs(float(p.g(b))) < 1e-10:
-                    hi_kind = EndpointKind.TURNING_POINT
-            out.append(FeasibleInterval(float(z_lo), float(z_hi), lo_kind, hi_kind))
-    if not out:
-        raise NoFeasibleRegion("K(z)^2 + z^2 < 1 holds nowhere")
-    return sorted(out, key=lambda iv: iv.z_lo)
+    t_lo, t_hi = p.turning_points()
+    z_lo, z_hi = float(np.sqrt(t_lo)), float(np.sqrt(t_hi))
+    if t_lo == 0.0:
+        return [FeasibleInterval(-z_hi, z_hi)]
+    return [FeasibleInterval(-z_hi, -z_lo), FeasibleInterval(z_lo, z_hi)]
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +301,7 @@ class ReconstructionMap:
         self.profile = profile
         self.interval = interval
         self.lambda0 = lambda0
-        z_lo, z_hi = interval.z_lo, interval.z_hi
+        z_lo, z_hi = self._ends = interval.z_lo, interval.z_hi
         self._m = 0.5 * (z_lo + z_hi)
         self._r = 0.5 * (z_hi - z_lo)
         gp_lo = float(profile.g_prime(z_lo))
@@ -358,8 +311,6 @@ class ReconstructionMap:
                 "g has a higher-order zero at a turning point; "
                 "the sqrt substitution does not apply"
             )
-        self._h_lo = gp_lo / (z_hi - z_lo)
-        self._h_hi = -gp_hi / (z_hi - z_lo)
         # cumulative s and lambda at panel boundaries
         self._u_bounds = np.linspace(-np.pi / 2, np.pi / 2, n_panels + 1)
         half = 0.5 * (self._u_bounds[1] - self._u_bounds[0])
@@ -374,25 +325,10 @@ class ReconstructionMap:
     def z_of_u(self, u):
         return self._m + self._r * np.sin(u)
 
-    def _h(self, z):
-        z = np.asarray(z, dtype=float)
-        factored = self.profile.h_factor(z, self.interval.z_lo, self.interval.z_hi)
-        if factored is not None:
-            return factored
-        # generic fallback: raw ratio, endpoint values from g'
-        w = (z - self.interval.z_lo) * (self.interval.z_hi - z)
-        tiny = w < 1e-9 * self._r * self._r
-        with np.errstate(invalid="ignore", divide="ignore"):
-            h = np.asarray(self.profile.g(z)) / np.where(tiny, 1.0, w)
-        if np.any(tiny):
-            near_lo = np.abs(z - self.interval.z_lo) < np.abs(self.interval.z_hi - z)
-            h = np.where(tiny, np.where(near_lo, self._h_lo, self._h_hi), h)
-        return h
-
     def _integrands(self, u):
         """ds/du and dlambda/du on the chart."""
         z = self.z_of_u(u)
-        inv_sqrt_h = 1.0 / np.sqrt(self._h(z))
+        inv_sqrt_h = 1.0 / np.sqrt(self.profile.h_factor(z, *self._ends))
         k = np.asarray(self.profile.value(z))
         den = z * z - 1.0
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -432,22 +368,31 @@ class ReconstructionMap:
         for _ in range(12):
             part_s, _ = self._partial(u0, u)
             resid = self._s_bounds[j] + part_s - s
-            step = resid * np.sqrt(self._h(self.z_of_u(u)))
+            step = resid * np.sqrt(self.profile.h_factor(self.z_of_u(u), *self._ends))
             u = np.clip(u - step, -np.pi / 2, np.pi / 2)
             if np.max(np.abs(step)) < 1e-14:
                 break
         return u
 
-    def state_of_s(self, s):
-        """(z, lambda-offset) on the single monotone branch, s in [0, L]."""
-        u = self.u_of_s(s)
+    def _cumulative(self, u):
+        """(s, lambda-offset) at chart coordinate u: panel sums plus one partial."""
+        u = np.asarray(u, dtype=float)
         j = np.clip(
             np.searchsorted(self._u_bounds, u, side="right") - 1,
             0,
             len(self._u_bounds) - 2,
         )
-        _, part_lam = self._partial(self._u_bounds[j], u)
-        return self.z_of_u(u), self._lam_bounds[j] + part_lam
+        part_s, part_lam = self._partial(self._u_bounds[j], u)
+        return self._s_bounds[j] + part_s, self._lam_bounds[j] + part_lam
+
+    def s_of_u(self, u):
+        """Arc length from the lower turning point to chart coordinate u."""
+        return self._cumulative(u)[0]
+
+    def state_of_s(self, s):
+        """(z, lambda-offset) on the single monotone branch, s in [0, L]."""
+        u = self.u_of_s(s)
+        return self.z_of_u(u), self._cumulative(u)[1]
 
     # -- folded evaluation over any number of oscillations -----------------
 
@@ -484,17 +429,8 @@ class ReconstructionMap:
 
 
 # ---------------------------------------------------------------------------
-# public quadrature operations
+# public reconstruction operations
 # ---------------------------------------------------------------------------
-
-
-def _quad_checked(f, a, b, what: str) -> float:
-    val, err = quad(f, a, b, epsabs=1e-12, epsrel=1e-12, limit=400)
-    if err > 1e-10:
-        val, err = quad(f, a, b, epsabs=1e-12, epsrel=1e-12, limit=4000)
-        if err > 1e-10:
-            raise QuadratureFailure(f"{what}: estimated error {err:.3e} > 1e-10")
-    return float(val)
 
 
 def arc_from_z(p: MomentumProfile, iv: FeasibleInterval, z0: float, z: float) -> float:
@@ -505,45 +441,13 @@ def arc_from_z(p: MomentumProfile, iv: FeasibleInterval, z0: float, z: float) ->
             raise OutOfDomain(f"z={val} outside [{iv.z_lo}, {iv.z_hi}]")
     if z0 == z:
         return 0.0
-    turning = (iv.lo_kind, iv.hi_kind) == (
-        EndpointKind.TURNING_POINT,
-        EndpointKind.TURNING_POINT,
-    )
-    if turning:
-        rm = ReconstructionMap(p, iv)
-        m, r = 0.5 * (iv.z_lo + iv.z_hi), 0.5 * iv.width
-        u0 = np.arcsin(np.clip((z0 - m) / r, -1.0, 1.0))
-        u1 = np.arcsin(np.clip((z - m) / r, -1.0, 1.0))
-        return _quad_checked(
-            lambda u: float(rm._integrands(np.asarray(u))[0]), u0, u1, "arc quadrature"
-        )
-    # rare mixed case: peel off sqrt singularities one end at a time
-    def integrand(zz):
-        return 1.0 / np.sqrt(float(p.g(zz)))
-
-    sign = 1.0
-    a, b = z0, z
-    if a > b:
-        a, b, sign = b, a, -1.0
-    total = 0.0
-    if iv.lo_kind is EndpointKind.TURNING_POINT and a <= iv.z_lo + 0.1 * iv.width:
-        cut = iv.z_lo + 0.1 * iv.width
-        cut = min(cut, b)
-        v0, v1 = np.sqrt(cut - iv.z_lo), np.sqrt(max(a - iv.z_lo, 0.0))
-        total += _quad_checked(
-            lambda v: 2.0 * v / np.sqrt(float(p.g(iv.z_lo + v * v))), v1, v0, "arc (lo)"
-        )
-        a = cut
-    if iv.hi_kind is EndpointKind.TURNING_POINT and b >= iv.z_hi - 0.1 * iv.width:
-        cut = max(iv.z_hi - 0.1 * iv.width, a)
-        v0, v1 = np.sqrt(iv.z_hi - cut), np.sqrt(max(iv.z_hi - b, 0.0))
-        total += _quad_checked(
-            lambda v: 2.0 * v / np.sqrt(float(p.g(iv.z_hi - v * v))), v1, v0, "arc (hi)"
-        )
-        b = cut
-    if b > a:
-        total += _quad_checked(integrand, a, b, "arc (interior)")
-    return sign * total
+    # chart coordinate of z; the difference of the endpoint distances lands
+    # exactly on -+pi/2 at the turning points, where (z - m) / r misses by
+    # about sqrt(eps) in u
+    zz = np.array([z0, z], dtype=float)
+    u = np.arcsin(np.clip(((zz - iv.z_lo) - (iv.z_hi - zz)) / iv.width, -1.0, 1.0))
+    s0, s1 = ReconstructionMap(p, iv).s_of_u(u)
+    return float(s1 - s0)
 
 
 def reconstruct(

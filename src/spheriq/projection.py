@@ -24,7 +24,6 @@ from .errors import (
     IOFailure,
     MissingParams,
 )
-from .sphere import SampledCurve, write_curve_csv
 from .surfaces import RotationalSurface, SurfaceFamily, surface_point
 
 POLE_EPS = 1e-9
@@ -282,8 +281,3 @@ def read_obj(path) -> Mesh:
         vertices=np.array(verts, dtype=float).reshape(-1, 3),
         faces=np.array(faces, dtype=int).reshape(-1, 3),
     )
-
-
-def write_csv(curve: SampledCurve, path) -> None:
-    """Curve CSV in the shared format."""
-    write_curve_csv(curve, path)

@@ -4,7 +4,7 @@ In latitude form the cubic relation km = mu * kp^3 becomes the separable
 ODE K' = mu K^3 / z^3 with general solution K = +/- z / sqrt(mu + c z^2).
 Solving the coefficient equations backwards gives the cylinder semi-axes:
 A^2, B^2 are the roots of X^2 - S X + P with S = (mu + c + 1)/c, P = 1/c,
-and D^2 a positive root of c X^2 + (mu - c + 1) X - mu with
+and D^2 the larger root of c X^2 + (mu - c + 1) X - mu with
 C^2 = D^2 / (1 - c (1 - D^2)^2).  The classifier recovers (mu, c) from
 sampled principal curvatures and dispatches the exact case tree: standard
 tori for constant latitude, mu = 0 for moons and the equatorial sphere,
@@ -19,7 +19,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conics import ConicClass, MomentumCoeffs, region_of
+from .conics import (
+    ConicClass,
+    MomentumCoeffs,
+    discriminant,
+    region_of,
+    turning_squares,
+)
 from .errors import (
     DegenerateInput,
     IllConditioned,
@@ -35,15 +41,11 @@ from .momentum import MomentumProfile, SpheroCylindricalMomentum
 # ---------------------------------------------------------------------------
 
 
-def cubic_discriminant(mu: float, c: float) -> float:
-    return (mu - c + 1.0) ** 2 + 4.0 * c * mu
-
-
 def vertical_squares(mu: float, c: float) -> tuple[float, float]:
     """(A^2, B^2): roots of X^2 - S X + P, largest first; needs c > 0."""
     if c <= 0:
         raise OutOfRegion("vertical cylinders require c > 0")
-    disc = cubic_discriminant(mu, c)
+    disc = discriminant(MomentumCoeffs(mu, c))
     if disc <= 0:
         raise OutOfRegion(f"negative discriminant {disc} for (mu={mu}, c={c})")
     sq = np.sqrt(disc)
@@ -56,19 +58,8 @@ def vertical_squares(mu: float, c: float) -> tuple[float, float]:
 
 
 def horizontal_squares(mu: float, c: float) -> tuple[float, float]:
-    """(C^2, D^2) with D^2 a positive root of c X^2 + (mu - c + 1) X - mu."""
-    if c == 0:
-        raise OutOfRegion("horizontal inverse map needs c != 0")
-    disc = cubic_discriminant(mu, c)
-    if disc <= 0:
-        raise OutOfRegion(f"negative discriminant {disc} for (mu={mu}, c={c})")
-    sq = np.sqrt(disc)
-    num = c - mu - 1.0
-    if c > 0:
-        # the + root; rewritten through the root product when num < 0
-        d2 = (num + sq) / (2.0 * c) if num >= 0 else 2.0 * mu / (sq - num)
-    else:
-        d2 = (num - sq) / (2.0 * c)
+    """(C^2, D^2) with D^2 the larger root of c X^2 + (mu - c + 1) X - mu."""
+    d2 = turning_squares(MomentumCoeffs(mu, c))[1]
     if d2 <= 0:
         raise OutOfRegion(f"no positive D^2 for (mu={mu}, c={c})")
     den = 1.0 - c * (1.0 - d2) ** 2

@@ -13,6 +13,7 @@ from spheriq.conics import (
     canonical_form,
     canonical_residual,
     classify,
+    discriminant,
     focal_params,
     locus_residual,
     momentum_coeffs,
@@ -52,7 +53,6 @@ from spheriq.weingarten import (
     NotCubic,
     SolveCase,
     classify_rotational_surface,
-    cubic_discriminant,
     cubic_residual,
     horizontal_squares,
     momentum_from_horizontal,
@@ -100,7 +100,7 @@ def test_01_inverse_map_roundtrips(rng):
 def test_02_fixed_point_spot_values():
     a2, b2 = vertical_squares(-1.5, 5.0)
     ok = a2 == 0.5
-    ok &= abs(cubic_discriminant(-1.5, 5.0) - 0.25) < 1e-15
+    ok &= abs(discriminant(MomentumCoeffs(-1.5, 5.0)) - 0.25) < 1e-15
     a2, b2 = vertical_squares(0.5, 0.5)
     ok &= abs(a2 + b2 - 4.0) < 1e-12
     ok &= abs(2 * a2 * b2 - 4.0) < 1e-12

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spheriq
 from spheriq.cli import main
 
 
@@ -149,3 +154,22 @@ class TestDeterminism:
         for p in (p1, p2):
             assert main(["project", "--quadric", "1", "-1", "--obj", str(p), "--json"]) == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # the closed forms replace scipy at run time; it is a test-only dependency
+        src = str(Path(spheriq.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        code = (
+            "import sys, spheriq.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"

@@ -1,8 +1,11 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
+from spheriq.conics import MomentumCoeffs
 from spheriq.errors import (
     BadParameter,
     DegenerateInput,
@@ -12,7 +15,6 @@ from spheriq.errors import (
 )
 from spheriq.momentum import (
     ConstantMomentum,
-    EndpointKind,
     FeasibleInterval,
     LinearMomentum,
     MomentumProfile,
@@ -32,6 +34,7 @@ from spheriq.sphere import (
     momentum_from_samples,
     rotate_z,
 )
+from spheriq.surfaces import make_quadric_surface
 
 
 class TestProfiles:
@@ -75,6 +78,19 @@ class TestProfiles:
             profile_from_json({"family": "cubic", "k": 1})
 
 
+def _quartic_real_roots(mu, c):
+    """Sorted real zeros of -c z^4 + (c - mu - 1) z^2 + mu, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        m, k = Decimal(mu), Decimal(c)
+        b = k - m - 1
+        disc = b * b + 4 * k * m
+        if disc < 0:
+            return np.array([])
+        ts = [(b + sgn * disc.sqrt()) / (2 * k) for sgn in (1, -1)]
+        return np.sort([float(sgn * t.sqrt()) for t in ts if t >= 0 for sgn in (1, -1)])
+
+
 class TestFeasibleIntervals:
     def test_constant(self):
         ivs = feasible_intervals(ConstantMomentum(-0.5))
@@ -82,7 +98,6 @@ class TestFeasibleIntervals:
         assert_allclose(
             [ivs[0].z_lo, ivs[0].z_hi], [-np.sqrt(0.75), np.sqrt(0.75)], atol=1e-13
         )
-        assert ivs[0].lo_kind is EndpointKind.TURNING_POINT
 
     def test_type_iii_quartic_root(self):
         # g > 0 solves -c z^4 + (c - mu - 1) z^2 + mu > 0; mu=1, c=-1 gives
@@ -104,25 +119,41 @@ class TestFeasibleIntervals:
         )
         assert np.sqrt(0.5) > np.sqrt(0.3)
 
+    # type-I bands down to discriminant 1e-14 (about 1e-8 wide in z), and a
+    # band at the region-I corner of the parabola-I line (discriminant ~1e-12)
+    NARROW_I = [(-1.5, 2.5 + np.sqrt(d + 6.0)) for d in (1e-8, 1e-10, 1e-12, 1e-14)] + [
+        (-1.0 - 1e-6, 4.0 + 2e-6)
+    ]
+    # equatorial bands of mu ~ 1e-6: parabola II, type II, type III
+    NARROW_EQ = [(1e-6, 1.0 - 1e-6), (1e-6, 0.5), (1e-6, -0.5)]
+
     def test_quartic_roots_oracle(self, rng):
-        # endpoints must be roots of the closed-form quartic, found here with
-        # an independent polynomial solver
-        for _ in range(25):
-            mu, c = rng.uniform(0.2, 4.0), rng.uniform(0.2, 4.0)
-            ivs = feasible_intervals(QuadricMomentum(mu, c))
-            roots = np.roots([-c, 0.0, c - mu - 1.0, 0.0, mu])
-            real = np.sort(roots[np.abs(roots.imag) < 1e-12].real)
-            for iv in ivs:
-                assert np.min(np.abs(real - iv.z_lo)) < 1e-11
-                assert np.min(np.abs(real - iv.z_hi)) < 1e-11
+        # endpoints must be roots of the closed-form quartic, found here in
+        # 50-digit decimal arithmetic
+        wide = [(rng.uniform(0.2, 4.0), rng.uniform(0.2, 4.0)) for _ in range(25)]
+        for mu, c in wide + self.NARROW_I + self.NARROW_EQ:
+            real = _quartic_real_roots(mu, c)
+            for iv in feasible_intervals(QuadricMomentum(mu, c)):
+                i_lo = np.argmin(np.abs(real - iv.z_lo))
+                i_hi = np.argmin(np.abs(real - iv.z_hi))
+                assert abs(real[i_lo] - iv.z_lo) < 1e-11
+                assert abs(real[i_hi] - iv.z_hi) < 1e-11
+                assert i_lo < i_hi
+        for mu, c in self.NARROW_I + self.NARROW_EQ:
+            make_quadric_surface(MomentumCoeffs(mu, c))
+        # |K'| reaches 1e3 on the mu ~ 1e-6 profiles, beyond the curvature
+        # that SampledCurve's chord-speed check admits, so only the type-I
+        # curves are sampled
+        for mu, c in self.NARROW_I:
+            p = QuadricMomentum(mu, c)
+            for iv in feasible_intervals(p):
+                z = reconstruct(p, iv).z
+                assert abs(z[0] - iv.z_lo) < 1e-12
+                assert np.all((z > iv.z_lo - 1e-12) & (z < iv.z_hi + 1e-12))
 
     def test_no_feasible_region(self):
         with pytest.raises(NoFeasibleRegion):
             feasible_intervals(QuadricMomentum(-5.0, 1.0))
-
-    def test_grid_n_contract(self):
-        with pytest.raises(DegenerateInput):
-            feasible_intervals(ConstantMomentum(0.1), grid_n=32)
 
 
 class TestArcFromZ:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spheriq.conics import MomentumCoeffs
+from spheriq.conics import MomentumCoeffs, discriminant
 from spheriq.errors import IllConditioned, OutOfRegion, TooFewSamples, ZeroLatitude
 from spheriq.momentum import (
     ConstantMomentum,
@@ -23,7 +23,6 @@ from spheriq.weingarten import (
     NotCubic,
     SolveCase,
     classify_rotational_surface,
-    cubic_discriminant,
     cubic_residual,
     dlambda_dphi_cylinder,
     dlambda_dphi_momentum,
@@ -126,7 +125,9 @@ class TestInverseMaps:
         a2, b2 = vertical_squares(-1.5, 5.0)
         assert a2 == 0.5  # exact: 2 mu + c = 2 forces A^2 = 1/2
         assert_allclose(b2, 0.4, rtol=1e-14)
-        assert_allclose(cubic_discriminant(-1.5, 5.0), 0.25, rtol=0, atol=1e-15)
+        assert_allclose(
+            discriminant(MomentumCoeffs(-1.5, 5.0)), 0.25, rtol=0, atol=1e-15
+        )
         c2, d2 = horizontal_squares(-1.5, 5.0)
         assert_allclose(d2, 0.6, rtol=1e-14)
         assert abs(c2 + d2 - 2 * c2 * d2) < 1e-12
