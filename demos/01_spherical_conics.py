@@ -8,11 +8,10 @@ the representation everything else is computed from.
 
 import numpy as np
 
-from spheriq import (
+from spheriq.conics import (
     CylinderConic,
     canonical_form,
     canonical_residual,
-    cartesian_to_geo,
     classify,
     focal_params,
     horizontal_to_vertical,
@@ -21,6 +20,7 @@ from spheriq import (
     sample_loop,
     vertical_to_horizontal,
 )
+from spheriq.sphere import cartesian_to_geo
 
 # ---------------------------------------------------------------------------
 # 1. one conic of each essential type

@@ -8,17 +8,16 @@ z(s), then longitude lambda(s) = int K / (z^2 - 1) ds.
 
 import numpy as np
 
-from spheriq import (
+from spheriq.momentum import (
     ConstantMomentum,
     LinearMomentum,
     QuadricMomentum,
-    arc_from_z,
+    ReconstructionMap,
     feasible_intervals,
-    momentum_from_samples,
     reconstruct,
     validate_reconstruction,
-    write_curve_csv,
 )
+from spheriq.sphere import momentum_from_samples, write_curve_csv
 
 # ---------------------------------------------------------------------------
 # 1. constant momentum gives great circles
@@ -31,7 +30,8 @@ print(f"constant K = {profile.k:+.3f}: feasible band "
 
 # arc length from the equator matches the closed form arcsin(z / sin(theta))
 z = 0.42
-s = arc_from_z(profile, interval, 0.0, z)
+s0, s1 = ReconstructionMap(profile, interval).s_of_z([0.0, z])
+s = s1 - s0
 print(f"s(z={z}) = {s:.12f}   closed form {np.arcsin(z / np.sin(theta)):.12f}")
 
 curve = reconstruct(profile, interval, step=1e-3, branches=2)

@@ -9,8 +9,8 @@ paraboloids on the lines 2mu + c = 2 and mu + c = 1.
 
 import numpy as np
 
-from spheriq import (
-    MomentumCoeffs,
+from spheriq.conics import MomentumCoeffs
+from spheriq.surfaces import (
     SurfaceFamily,
     fundamental_forms,
     implicit_residuals,

@@ -9,21 +9,22 @@ relation instead and are correctly rejected.
 
 import numpy as np
 
-from spheriq import (
-    MomentumCoeffs,
-    NotCubic,
-    QuadricMomentum,
+from spheriq.conics import MomentumCoeffs
+from spheriq.momentum import QuadricMomentum, feasible_intervals
+from spheriq.surfaces import (
     SurfaceFamily,
-    classify_rotational_surface,
-    cubic_residual,
-    feasible_intervals,
     make_degenerate,
     make_fake_paraboloid,
     make_quadric_surface,
+)
+from spheriq.weingarten import (
+    NotCubic,
+    classify_rotational_surface,
+    cubic_residual,
     sextic_residual,
     solve_cubic_weingarten,
+    solve_report,
 )
-from spheriq.weingarten import solve_report
 
 # ---------------------------------------------------------------------------
 # 1. the identity itself, analytically

@@ -8,22 +8,22 @@ coefficients in the cylinder parameters (C, D).
 
 import numpy as np
 
-from spheriq import (
-    CylinderConic,
-    MomentumCoeffs,
-    SurfaceFamily,
+from spheriq.conics import CylinderConic, MomentumCoeffs, sample_loop
+from spheriq.projection import (
     cyclide_coeffs,
     cyclide_residual,
     euler_characteristic,
-    make_degenerate,
-    make_quadric,
-    make_quadric_surface,
     mesh_from_surface,
-    sample_loop,
     spiric_coeffs,
     spiric_residual,
     stereo_s2,
     write_obj,
+)
+from spheriq.surfaces import (
+    SurfaceFamily,
+    make_degenerate,
+    make_quadric,
+    make_quadric_surface,
 )
 
 # ---------------------------------------------------------------------------

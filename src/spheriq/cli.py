@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .conics import (
     CylinderConic,
+    MomentumCoeffs,
     canonical_form,
     classify,
     conic_report,
@@ -32,6 +33,7 @@ from .momentum import (
     ConstantMomentum,
     LinearMomentum,
     QuadricMomentum,
+    ReconstructionMap,
     SpheroCylindricalMomentum,
     feasible_intervals,
     reconstruct,
@@ -48,8 +50,10 @@ from .projection import (
 )
 from .sphere import cartesian_to_geo, resample_by_arclength, write_curve_csv
 from .surfaces import (
+    ReconstructedProfile,
+    RotationalSurface,
+    SurfaceFamily,
     make_fake_paraboloid,
-    make_quadric,
     make_quadric_surface,
     quadric_spec_to_json,
 )
@@ -59,7 +63,6 @@ from .weingarten import (
     sextic_residual,
     solve_report,
 )
-from .conics import MomentumCoeffs
 
 NUMERIC_ERRORS = (QuadratureFailure, IllConditioned, IOFailure)
 
@@ -177,10 +180,9 @@ def cmd_reconstruct(args) -> dict:
 
 def cmd_quadric(args) -> dict:
     mu, c = args.quadric
-    spec = make_quadric(MomentumCoeffs(mu, c))
     surface = make_quadric_surface(MomentumCoeffs(mu, c))
     report = _base_report("quadric", args)
-    report.update(quadric_spec_to_json(spec))
+    report.update(quadric_spec_to_json(surface.quadric))
     mesh = mesh_from_surface(surface, ns=96, nt=96, project=bool(args.obj))
     if args.obj:
         write_obj(mesh, args.obj)
@@ -197,9 +199,6 @@ def cmd_classify(args) -> dict:
     elif getattr(args, "fake_paraboloid", None) is not None:
         surface = make_fake_paraboloid(args.fake_paraboloid)
     else:
-        from .momentum import ReconstructionMap
-        from .surfaces import ReconstructedProfile, RotationalSurface, SurfaceFamily
-
         profile = _profile_from_args(args)
         iv = feasible_intervals(profile)[0]
         surface = RotationalSurface(
@@ -257,8 +256,8 @@ def cmd_project(args) -> dict:
     report = _base_report("project", args)
     if args.quadric is not None:
         mu, c = args.quadric
-        spec = make_quadric(MomentumCoeffs(mu, c))
         surface = make_quadric_surface(MomentumCoeffs(mu, c))
+        spec = surface.quadric
         coeffs = cyclide_coeffs(spec)
         mesh = mesh_from_surface(surface, ns=96, nt=96, project=True)
         report.update(

@@ -8,6 +8,11 @@ the unit sphere with an elliptic cylinder, either vertical
 converts between the descriptions, classifies the three essential types,
 and computes the two coefficients (mu, c) of the squared angular momentum
 K(z)^2 = z^2 / (mu + c z^2).
+
+The map from the cylinder squares to (mu, c) is inverted exactly: A^2, B^2
+are the roots of X^2 - S X + P with S = (mu + c + 1)/c, P = 1/c, and D^2 is
+the larger root of c X^2 + (mu - c + 1) X - mu with
+C^2 = D^2 / (1 - c (1 - D^2)^2).
 """
 
 from __future__ import annotations
@@ -322,14 +327,19 @@ def momentum_coeffs(conic: CylinderConic) -> MomentumCoeffs:
     if cls not in NONDEGENERATE:
         raise Degenerate(f"{cls.value} conic has no (mu, c) coefficients")
     if conic.kind is ConicKind.VERTICAL:
-        a2, b2 = conic.p ** 2, conic.q ** 2
-        return MomentumCoeffs(
-            mu=(a2 - 1) * (1 - b2) / (a2 * b2),
-            c=1.0 / (a2 * b2),
-        )
-    c2, d2 = conic.p ** 2, conic.q ** 2
-    den = c2 * (1 - d2) ** 2
-    return MomentumCoeffs(mu=d2 * d2 * (1 - c2) / den, c=(c2 - d2) / den)
+        return momentum_from_vertical(conic.p ** 2, conic.q ** 2)
+    return momentum_from_horizontal(conic.p ** 2, conic.q ** 2)
+
+
+def momentum_from_vertical(a2: float, b2: float) -> MomentumCoeffs:
+    """Forward map (A^2, B^2) -> (mu, c)."""
+    return MomentumCoeffs(mu=(a2 - 1.0) * (1.0 - b2) / (a2 * b2), c=1.0 / (a2 * b2))
+
+
+def momentum_from_horizontal(c2: float, d2: float) -> MomentumCoeffs:
+    """Forward map (C^2, D^2) -> (mu, c)."""
+    den = c2 * (1.0 - d2) ** 2
+    return MomentumCoeffs(mu=d2 * d2 * (1.0 - c2) / den, c=(c2 - d2) / den)
 
 
 def discriminant(mc: MomentumCoeffs) -> float:
@@ -360,6 +370,33 @@ def turning_squares(mc: MomentumCoeffs) -> tuple[float, float]:
     q = 0.5 * (b + math.copysign(math.sqrt(disc), b))
     r1, r2 = q / mc.c, -mc.mu / q
     return (r1, r2) if r1 <= r2 else (r2, r1)
+
+
+def vertical_squares(mu: float, c: float) -> tuple[float, float]:
+    """(A^2, B^2): roots of X^2 - S X + P, largest first; needs c > 0."""
+    if c <= 0:
+        raise OutOfRegion("vertical cylinders require c > 0")
+    disc = discriminant(MomentumCoeffs(mu, c))
+    if disc <= 0:
+        raise OutOfRegion(f"negative discriminant {disc} for (mu={mu}, c={c})")
+    sq = np.sqrt(disc)
+    a2 = (mu + c + 1.0 + sq) / (2.0 * c)
+    # second root through the product A^2 B^2 = P = 1/c avoids cancellation
+    b2 = 1.0 / (c * a2)
+    if a2 <= 0 or b2 <= 0:
+        raise OutOfRegion(f"no positive root pair for (mu={mu}, c={c})")
+    return float(a2), float(b2)
+
+
+def horizontal_squares(mu: float, c: float) -> tuple[float, float]:
+    """(C^2, D^2) with D^2 the larger root of c X^2 + (mu - c + 1) X - mu."""
+    d2 = turning_squares(MomentumCoeffs(mu, c))[1]
+    if d2 <= 0:
+        raise OutOfRegion(f"no positive D^2 for (mu={mu}, c={c})")
+    den = 1.0 - c * (1.0 - d2) ** 2
+    if den <= 0:
+        raise OutOfRegion(f"C^2 undefined for (mu={mu}, c={c})")
+    return float(d2 / den), float(d2)
 
 
 def region_of(mc: MomentumCoeffs) -> ConicClass:

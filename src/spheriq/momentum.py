@@ -25,7 +25,12 @@ from .errors import (
     OutOfDomain,
     QuadratureFailure,
 )
-from .sphere import SampledCurve, geo_arrays_to_points
+from .sphere import (
+    SampledCurve,
+    curvature_from_samples,
+    geo_arrays_to_points,
+    momentum_from_samples,
+)
 
 _DOUBLE_ZERO_TOL = 1e-8
 
@@ -385,8 +390,17 @@ class ReconstructionMap:
         part_s, part_lam = self._partial(self._u_bounds[j], u)
         return self._s_bounds[j] + part_s, self._lam_bounds[j] + part_lam
 
-    def s_of_u(self, u):
-        """Arc length from the lower turning point to chart coordinate u."""
+    def s_of_z(self, z):
+        """Arc length from the lower turning point to latitude z (vectorized)."""
+        z = np.asarray(z, dtype=float)
+        z_lo, z_hi = self._ends
+        width = self.interval.width
+        pad = 1e-12 + 1e-12 * width
+        if np.any(z < z_lo - pad) or np.any(z > z_hi + pad):
+            raise OutOfDomain(f"z={z} outside [{z_lo}, {z_hi}]")
+        # the difference of the endpoint distances lands exactly on -+pi/2 at
+        # the turning points, where (z - m) / r misses by about sqrt(eps) in u
+        u = np.arcsin(np.clip(((z - z_lo) - (z_hi - z)) / width, -1.0, 1.0))
         return self._cumulative(u)[0]
 
     def state_of_s(self, s):
@@ -433,23 +447,6 @@ class ReconstructionMap:
 # ---------------------------------------------------------------------------
 
 
-def arc_from_z(p: MomentumProfile, iv: FeasibleInterval, z0: float, z: float) -> float:
-    """Signed arc length along the rising branch from latitude z0 to z."""
-    pad = 1e-12 + 1e-12 * iv.width
-    for val in (z0, z):
-        if not (iv.z_lo - pad <= val <= iv.z_hi + pad):
-            raise OutOfDomain(f"z={val} outside [{iv.z_lo}, {iv.z_hi}]")
-    if z0 == z:
-        return 0.0
-    # chart coordinate of z; the difference of the endpoint distances lands
-    # exactly on -+pi/2 at the turning points, where (z - m) / r misses by
-    # about sqrt(eps) in u
-    zz = np.array([z0, z], dtype=float)
-    u = np.arcsin(np.clip(((zz - iv.z_lo) - (iv.z_hi - zz)) / iv.width, -1.0, 1.0))
-    s0, s1 = ReconstructionMap(p, iv).s_of_u(u)
-    return float(s1 - s0)
-
-
 def reconstruct(
     p: MomentumProfile,
     iv: FeasibleInterval,
@@ -490,8 +487,6 @@ class ReconstructionReport:
 
 def validate_reconstruction(c: SampledCurve, p: MomentumProfile) -> ReconstructionReport:
     """Compare finite-difference momentum and curvature against K and K'."""
-    from .sphere import curvature_from_samples, momentum_from_samples
-
     c = momentum_from_samples(curvature_from_samples(c))
     interior = slice(2, -2)
     z = c.z[interior]

@@ -19,8 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import weingarten
-from .conics import ConicClass, CylinderConic, MomentumCoeffs, region_of
+from .conics import (
+    ConicClass,
+    CylinderConic,
+    MomentumCoeffs,
+    horizontal_squares,
+    region_of,
+    vertical_squares,
+)
 from .errors import (
     BadParameter,
     NoImplicitForm,
@@ -298,31 +304,40 @@ def principal_curvatures_richardson(
 # ---------------------------------------------------------------------------
 
 
-def implicit_residuals(surface: RotationalSurface, q: np.ndarray) -> dict:
-    """All implicit-form residuals available for the surface family at q."""
+def quadric_residuals(spec: QuadricSpec, q: np.ndarray) -> dict:
+    """Residuals of the quadric's family (x2) and common (x1) equations at q."""
     q = np.asarray(q, dtype=float)
     r2 = q[..., 2] ** 2 + q[..., 3] ** 2
     x1, x2 = q[..., 0], q[..., 1]
+    fam = spec.family
+    a2, b2 = spec.alpha2, spec.beta2
+    out: dict = {}
+    if fam is SurfaceFamily.QUADRIC_I:
+        out["x2_form"] = r2 - (a2 + b2 * x2 * x2)
+    elif fam is SurfaceFamily.QUADRIC_IIA:
+        out["x2_form"] = r2 - (-a2 + b2 * x2 * x2)
+    else:  # IIb and III share the ellipse-like sign pattern
+        out["x2_form"] = r2 - (a2 - b2 * x2 * x2)
+    if fam is SurfaceFamily.QUADRIC_IIB:
+        out["x1_form"] = r2 - (spec.beta_hat2 * x1 * x1 - spec.alpha_hat2)
+    else:
+        out["x1_form"] = r2 - (spec.alpha_hat2 - spec.beta_hat2 * x1 * x1)
+    return out
+
+
+def implicit_residuals(surface: RotationalSurface, q: np.ndarray) -> dict:
+    """All implicit-form residuals available for the surface family at q."""
     fam = surface.family
+    if fam in QUADRIC_FAMILIES and surface.quadric is not None:
+        return quadric_residuals(surface.quadric, q)
+    if fam is SurfaceFamily.GENERIC:
+        raise NoImplicitForm("generic rotational surface")
+    q = np.asarray(q, dtype=float)
+    r2 = q[..., 2] ** 2 + q[..., 3] ** 2
+    x1, x2 = q[..., 0], q[..., 1]
     out: dict = {}
     if fam is SurfaceFamily.FAKE_PARABOLOID:
         out["x2_form"] = r2 - 2.0 * surface.params["a"] * x2
-        return out
-    if fam is SurfaceFamily.GENERIC:
-        raise NoImplicitForm("generic rotational surface")
-    spec = surface.quadric
-    if fam in QUADRIC_FAMILIES and spec is not None:
-        a2, b2 = spec.alpha2, spec.beta2
-        if fam is SurfaceFamily.QUADRIC_I:
-            out["x2_form"] = r2 - (a2 + b2 * x2 * x2)
-        elif fam is SurfaceFamily.QUADRIC_IIA:
-            out["x2_form"] = r2 - (-a2 + b2 * x2 * x2)
-        else:  # IIb and III share the ellipse-like sign pattern
-            out["x2_form"] = r2 - (a2 - b2 * x2 * x2)
-        if fam is SurfaceFamily.QUADRIC_IIB:
-            out["x1_form"] = r2 - (spec.beta_hat2 * x1 * x1 - spec.alpha_hat2)
-        else:
-            out["x1_form"] = r2 - (spec.alpha_hat2 - spec.beta_hat2 * x1 * x1)
         return out
     # degenerate families: common x1 form, plus the cone form for moons
     if fam is SurfaceFamily.EQUATORIAL:
@@ -365,8 +380,8 @@ def make_quadric(mc: MomentumCoeffs, prolate: bool = False) -> QuadricSpec:
     region = region_of(mc)  # raises OutOfRegion outside the moduli regions
     mu, c = mc.mu, mc.c
     if region in (ConicClass.TYPE_I, ConicClass.PARABOLA_I):
-        a2, b2 = weingarten.vertical_squares(mu, c)
-        c2, d2 = weingarten.horizontal_squares(mu, c)
+        a2, b2 = vertical_squares(mu, c)
+        c2, d2 = horizontal_squares(mu, c)
         if not (0 < b2 < a2 < 1 and 0 < d2 < 1 < c2):
             raise OutOfRegion(f"inverse maps left the type-I region: {a2}, {b2}, {c2}, {d2}")
         spec = QuadricSpec(
@@ -380,8 +395,8 @@ def make_quadric(mc: MomentumCoeffs, prolate: bool = False) -> QuadricSpec:
             a2=a2, b2=b2, c2=c2, d2=d2,
         )
     elif region in (ConicClass.TYPE_II, ConicClass.PARABOLA_II):
-        a2, b2 = weingarten.vertical_squares(mu, c)
-        c2, d2 = weingarten.horizontal_squares(mu, c)
+        a2, b2 = vertical_squares(mu, c)
+        c2, d2 = horizontal_squares(mu, c)
         if not (0 < b2 < 1 < a2 and 0 < d2 < c2 < 1):
             raise OutOfRegion(f"inverse maps left the type-II region: {a2}, {b2}, {c2}, {d2}")
         if prolate:
@@ -411,7 +426,7 @@ def make_quadric(mc: MomentumCoeffs, prolate: bool = False) -> QuadricSpec:
             raise OutOfRegion(f"(mu={mu}, c={c}) is {region.value}, not a quadric region")
         if prolate:
             raise OutOfRegion("prolate form exists only for type-II coefficients")
-        c2, d2 = weingarten.horizontal_squares(mu, c)
+        c2, d2 = horizontal_squares(mu, c)
         if not (0 < c2 < 1 < d2):
             raise OutOfRegion(f"inverse maps left the type-III region: {c2}, {d2}")
         spec = QuadricSpec(

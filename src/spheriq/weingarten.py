@@ -2,13 +2,10 @@
 
 In latitude form the cubic relation km = mu * kp^3 becomes the separable
 ODE K' = mu K^3 / z^3 with general solution K = +/- z / sqrt(mu + c z^2).
-Solving the coefficient equations backwards gives the cylinder semi-axes:
-A^2, B^2 are the roots of X^2 - S X + P with S = (mu + c + 1)/c, P = 1/c,
-and D^2 the larger root of c X^2 + (mu - c + 1) X - mu with
-C^2 = D^2 / (1 - c (1 - D^2)^2).  The classifier recovers (mu, c) from
-sampled principal curvatures and dispatches the exact case tree: standard
-tori for constant latitude, mu = 0 for moons and the equatorial sphere,
-c = 0 for umbilical spheres, and the quadric regions otherwise.
+The classifier recovers (mu, c) from sampled principal curvatures and
+dispatches the exact case tree: standard tori for constant latitude, mu = 0
+for moons and the equatorial sphere, c = 0 for umbilical spheres, and the
+quadric regions otherwise.
 """
 
 from __future__ import annotations
@@ -19,13 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conics import (
-    ConicClass,
-    MomentumCoeffs,
-    discriminant,
-    region_of,
-    turning_squares,
-)
+from .conics import MomentumCoeffs
 from .errors import (
     DegenerateInput,
     IllConditioned,
@@ -34,49 +25,13 @@ from .errors import (
     ZeroLatitude,
 )
 from .momentum import MomentumProfile, SpheroCylindricalMomentum
-
-
-# ---------------------------------------------------------------------------
-# inverse parameter maps (momentum coefficients -> cylinder semi-axes)
-# ---------------------------------------------------------------------------
-
-
-def vertical_squares(mu: float, c: float) -> tuple[float, float]:
-    """(A^2, B^2): roots of X^2 - S X + P, largest first; needs c > 0."""
-    if c <= 0:
-        raise OutOfRegion("vertical cylinders require c > 0")
-    disc = discriminant(MomentumCoeffs(mu, c))
-    if disc <= 0:
-        raise OutOfRegion(f"negative discriminant {disc} for (mu={mu}, c={c})")
-    sq = np.sqrt(disc)
-    a2 = (mu + c + 1.0 + sq) / (2.0 * c)
-    # second root through the product A^2 B^2 = P = 1/c avoids cancellation
-    b2 = 1.0 / (c * a2)
-    if a2 <= 0 or b2 <= 0:
-        raise OutOfRegion(f"no positive root pair for (mu={mu}, c={c})")
-    return float(a2), float(b2)
-
-
-def horizontal_squares(mu: float, c: float) -> tuple[float, float]:
-    """(C^2, D^2) with D^2 the larger root of c X^2 + (mu - c + 1) X - mu."""
-    d2 = turning_squares(MomentumCoeffs(mu, c))[1]
-    if d2 <= 0:
-        raise OutOfRegion(f"no positive D^2 for (mu={mu}, c={c})")
-    den = 1.0 - c * (1.0 - d2) ** 2
-    if den <= 0:
-        raise OutOfRegion(f"C^2 undefined for (mu={mu}, c={c})")
-    return float(d2 / den), float(d2)
-
-
-def momentum_from_vertical(a2: float, b2: float) -> MomentumCoeffs:
-    """Forward map (A^2, B^2) -> (mu, c)."""
-    return MomentumCoeffs(mu=(a2 - 1.0) * (1.0 - b2) / (a2 * b2), c=1.0 / (a2 * b2))
-
-
-def momentum_from_horizontal(c2: float, d2: float) -> MomentumCoeffs:
-    """Forward map (C^2, D^2) -> (mu, c)."""
-    den = c2 * (1.0 - d2) ** 2
-    return MomentumCoeffs(mu=d2 * d2 * (1.0 - c2) / den, c=(c2 - d2) / den)
+from .surfaces import (
+    QuadricSpec,
+    make_quadric,
+    principal_curvatures_richardson,
+    quadric_residuals,
+    surface_point,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +117,7 @@ class CubicSolveResult:
     delta: float | None = None
     phi0: float | None = None
     theta: float | None = None
-    spec: object = None  # QuadricSpec for the non-degenerate case
+    spec: QuadricSpec | None = None  # set for the non-degenerate case
     sp: tuple[float, float] | None = None
     residual_max: float | None = None
 
@@ -209,18 +164,8 @@ def solve_cubic_weingarten(
             raise OutOfRegion(f"c=0 needs mu > 0, got {mu}")
         delta = float(np.arcsinh(1.0 / np.sqrt(mu)))
         return CubicSolveResult(case=SolveCase.UMBILICAL_SPHERE, mu=mu, c=0.0, delta=delta)
-    region = region_of(MomentumCoeffs(mu, c))  # raises OutOfRegion if invalid
-    from .surfaces import make_quadric
-
-    spec = make_quadric(MomentumCoeffs(mu, c))
+    spec = make_quadric(MomentumCoeffs(mu, c))  # raises OutOfRegion if invalid
     sp = ((mu + c + 1.0) / c, 1.0 / c) if c > 0 else None
-    assert region in (
-        ConicClass.TYPE_I,
-        ConicClass.TYPE_II,
-        ConicClass.TYPE_III,
-        ConicClass.PARABOLA_I,
-        ConicClass.PARABOLA_II,
-    )
     return CubicSolveResult(
         case=SolveCase.NONDEGENERATE_QUADRIC, mu=mu, c=c, spec=spec, sp=sp
     )
@@ -245,13 +190,6 @@ def classify_rotational_surface(
     reported NotCubic.  For quadric cases the recovered coefficients are
     cross-checked against the implicit equation on surface samples.
     """
-    from .surfaces import (
-        principal_curvatures_richardson,
-        surface_point,
-        implicit_residual,
-        make_quadric_surface,
-    )
-
     lo, hi = surface.s_domain
     span = hi - lo
     s_all = np.linspace(lo + 0.03 * span, hi - 0.03 * span, n_samples)
@@ -288,23 +226,12 @@ def classify_rotational_surface(
         )
     result = solve_cubic_weingarten(fit.mu, c_hat)
     # cross-check: the recovered implicit equation must vanish on the surface
-    check = make_quadric_surface(MomentumCoeffs(fit.mu, c_hat))
     probe = surface_point(surface, s_use, 0.37)
-    imp = np.max(np.abs(implicit_residual(
-        RotSurfaceView(check.family, check.quadric), probe)))
+    imp = np.max(np.abs(quadric_residuals(result.spec, probe)["x2_form"]))
     return CubicSolveResult(
         case=result.case, mu=fit.mu, c=c_hat, spec=result.spec, sp=result.sp,
         residual_max=float(max(fit.max_residual, imp)),
     )
-
-
-class RotSurfaceView:
-    """Minimal family/quadric holder so implicit_residual can run on probes."""
-
-    def __init__(self, family, quadric):
-        self.family = family
-        self.quadric = quadric
-        self.params = {}
 
 
 # ---------------------------------------------------------------------------

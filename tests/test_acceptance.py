@@ -15,9 +15,13 @@ from spheriq.conics import (
     classify,
     discriminant,
     focal_params,
+    horizontal_squares,
     locus_residual,
     momentum_coeffs,
+    momentum_from_horizontal,
+    momentum_from_vertical,
     sample_loop,
+    vertical_squares,
 )
 from spheriq.momentum import (
     ConstantMomentum,
@@ -54,11 +58,7 @@ from spheriq.weingarten import (
     SolveCase,
     classify_rotational_surface,
     cubic_residual,
-    horizontal_squares,
-    momentum_from_horizontal,
-    momentum_from_vertical,
     sextic_residual,
-    vertical_squares,
 )
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -9,6 +10,25 @@ import pytest
 
 import spheriq
 from spheriq.cli import main
+
+SRC = str(Path(spheriq.__file__).resolve().parents[1])
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+# the package root first: it imports nothing, the others only what precedes them
+MODULE_ORDER = [
+    "__init__", "errors", "sphere", "conics", "momentum",
+    "surfaces", "weingarten", "projection", "cli",
+]
+
+
+def run_python(args, cwd=None):
+    path = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
 
 
 def run_json(capsys, argv):
@@ -159,17 +179,36 @@ class TestDeterminism:
 class TestImports:
     def test_cli_import_leaves_scipy_unloaded(self):
         # the closed forms replace scipy at run time; it is a test-only dependency
-        src = str(Path(spheriq.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         code = (
             "import sys, spheriq.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        assert out.strip() == "[]"
+        proc = run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_module_graph_is_one_way(self):
+        pkg = Path(spheriq.__file__).parent
+        assert sorted(p.stem for p in pkg.glob("*.py")) == sorted(MODULE_ORDER)
+        for rank, name in enumerate(MODULE_ORDER):
+            tree = ast.parse((pkg / f"{name}.py").read_text())
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.ImportFrom) and node.level):
+                    continue
+                where = f"{name}.py:{node.lineno}"
+                assert node in tree.body, f"{where}: import below module level"
+                # `from . import x` names a module or an attribute of the root
+                targets = [node.module] if node.module else [
+                    a.name if a.name in MODULE_ORDER else "__init__" for a in node.names
+                ]
+                for target in targets:
+                    assert MODULE_ORDER.index(target) < rank, (
+                        f"{where}: {name} imports {target}, which comes later"
+                    )
+
+
+class TestDemos:
+    @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
+    def test_demo_runs(self, demo, tmp_path):
+        proc = run_python([str(demo)], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr

@@ -21,7 +21,6 @@ from spheriq.momentum import (
     QuadricMomentum,
     ReconstructionMap,
     SpheroCylindricalMomentum,
-    arc_from_z,
     feasible_intervals,
     profile_from_json,
     profile_to_json,
@@ -157,44 +156,50 @@ class TestFeasibleIntervals:
 
 
 class TestArcFromZ:
+    # ReconstructionMap.s_of_z: arc length from the lower turning point
+
     def test_constant_closed_form(self):
         p = ConstantMomentum(-0.5)
-        iv = feasible_intervals(p)[0]
+        rm = ReconstructionMap(p, feasible_intervals(p)[0])
         z = np.sqrt(0.75) * np.sin(0.7)
-        assert abs(arc_from_z(p, iv, 0.0, z) - 0.7) < 1e-9
+        s0, s1 = rm.s_of_z([0.0, z])
+        assert abs(s1 - s0 - 0.7) < 1e-9
 
     def test_zero_length(self):
         p = ConstantMomentum(-0.5)
-        iv = feasible_intervals(p)[0]
-        assert arc_from_z(p, iv, 0.3, 0.3) == 0.0
+        rm = ReconstructionMap(p, feasible_intervals(p)[0])
+        s0, s1 = rm.s_of_z([0.3, 0.3])
+        assert s1 - s0 == 0.0
 
     def test_linear_closed_form(self):
         delta = 1.0
         p = LinearMomentum(-np.sinh(delta))
-        iv = feasible_intervals(p)[0]
+        rm = ReconstructionMap(p, feasible_intervals(p)[0])
         ch = np.cosh(delta)
-        for z in (-0.5, 0.11, 0.6):
-            assert abs(arc_from_z(p, iv, 0.0, z) - np.arcsin(z * ch) / ch) < 1e-9
+        z = np.array([-0.5, 0.11, 0.6])
+        s = rm.s_of_z(z) - rm.s_of_z(0.0)
+        assert np.max(np.abs(s - np.arcsin(z * ch) / ch)) < 1e-9
 
     def test_full_branch_with_singular_endpoints(self):
         # int dz / sqrt(1 - c^2 - z^2) over the whole band is pi regardless of c
         p = ConstantMomentum(0.37)
         iv = feasible_intervals(p)[0]
-        assert abs(arc_from_z(p, iv, iv.z_lo, iv.z_hi) - np.pi) < 1e-10
+        s_lo, s_hi = ReconstructionMap(p, iv).s_of_z([iv.z_lo, iv.z_hi])
+        assert abs(s_hi - s_lo - np.pi) < 1e-10
 
     def test_signed(self):
         p = QuadricMomentum(1.0, -1.0)
-        iv = feasible_intervals(p)[0]
-        assert arc_from_z(p, iv, 0.2, -0.1) < 0
-        assert abs(
-            arc_from_z(p, iv, 0.2, -0.1) + arc_from_z(p, iv, -0.1, 0.2)
-        ) < 1e-12
+        rm = ReconstructionMap(p, feasible_intervals(p)[0])
+        s_a, s_b = rm.s_of_z([0.2, -0.1])
+        s_c, s_d = rm.s_of_z([-0.1, 0.2])
+        assert s_b - s_a < 0
+        assert abs((s_b - s_a) + (s_d - s_c)) < 1e-12
 
     def test_out_of_domain(self):
         p = ConstantMomentum(-0.5)
-        iv = feasible_intervals(p)[0]
+        rm = ReconstructionMap(p, feasible_intervals(p)[0])
         with pytest.raises(OutOfDomain):
-            arc_from_z(p, iv, 0.0, 0.99)
+            rm.s_of_z([0.0, 0.99])
 
     def test_quad_oracle(self, rng):
         # independent check: raw adaptive quadrature away from the endpoints
@@ -202,12 +207,14 @@ class TestArcFromZ:
 
         p = QuadricMomentum(-1 / 12, 5 / 3)
         iv = [i for i in feasible_intervals(p) if i.z_lo > 0][0]
+        rm = ReconstructionMap(p, iv)
         for _ in range(5):
             z0, z1 = np.sort(
                 rng.uniform(iv.z_lo + 0.1 * iv.width, iv.z_hi - 0.1 * iv.width, 2)
             )
             ref, _ = quad(lambda z: 1 / np.sqrt(float(p.g(z))), z0, z1, epsabs=1e-13)
-            assert abs(arc_from_z(p, iv, z0, z1) - ref) < 1e-10
+            s0, s1 = rm.s_of_z([z0, z1])
+            assert abs(s1 - s0 - ref) < 1e-10
 
 
 class _DoubleZero(MomentumProfile):
@@ -346,8 +353,8 @@ class TestMonotoneInversion:
         s = np.linspace(0.0, rm.branch_length, 200)
         z, _ = rm.state_of_s(s)
         assert np.all(np.diff(z) > 0)
-        # arc_from_z composed with z(s) returns s
-        back = np.array([arc_from_z(p, iv, iv.z_lo, zz) for zz in z[1:-1:20]])
+        # s_of_z composed with z(s) returns s
+        back = rm.s_of_z(z[1:-1:20])
         assert np.max(np.abs(back - s[1:-1:20])) < 1e-9
 
 
@@ -359,7 +366,7 @@ class TestUniqueness:
         iv = [i for i in feasible_intervals(p) if i.z_lo > 0][0]
         rm = ReconstructionMap(p, iv)
         z0 = 0.5 * (iv.z_lo + iv.z_hi)
-        s0 = arc_from_z(p, iv, iv.z_lo, z0)
+        s0 = float(rm.s_of_z(z0))
         span = 0.8 * (rm.branch_length - s0)
 
         def rhs(s, y):

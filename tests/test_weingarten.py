@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spheriq.conics import MomentumCoeffs, discriminant
+from spheriq.conics import (
+    MomentumCoeffs,
+    discriminant,
+    horizontal_squares,
+    momentum_from_horizontal,
+    momentum_from_vertical,
+    vertical_squares,
+)
 from spheriq.errors import IllConditioned, OutOfRegion, TooFewSamples, ZeroLatitude
 from spheriq.momentum import (
     ConstantMomentum,
@@ -27,13 +34,9 @@ from spheriq.weingarten import (
     dlambda_dphi_cylinder,
     dlambda_dphi_momentum,
     fit_mu,
-    horizontal_squares,
-    momentum_from_horizontal,
-    momentum_from_vertical,
     sextic_residual,
     solve_cubic_weingarten,
     solve_report,
-    vertical_squares,
 )
 
 
