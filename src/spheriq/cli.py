@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -28,7 +29,14 @@ from .conics import (
     sample_loop,
     NONDEGENERATE,
 )
-from .errors import IllConditioned, IOFailure, QuadratureFailure, SpheriqError
+from .errors import (
+    BadParameter,
+    IllConditioned,
+    IOFailure,
+    QuadratureFailure,
+    SpheriqError,
+    TooFewSamples,
+)
 from .momentum import (
     ConstantMomentum,
     LinearMomentum,
@@ -50,9 +58,9 @@ from .projection import (
 )
 from .sphere import cartesian_to_geo, resample_by_arclength, write_curve_csv
 from .surfaces import (
-    ReconstructedProfile,
     RotationalSurface,
     SurfaceFamily,
+    chart_profile,
     make_fake_paraboloid,
     make_quadric_surface,
     quadric_spec_to_json,
@@ -68,7 +76,10 @@ NUMERIC_ERRORS = (QuadratureFailure, IllConditioned, IOFailure)
 
 
 def _seed() -> int:
-    return int(os.environ.get("SPHERIQ_SEED", "20240809"))
+    raw = os.environ.get("SPHERIQ_SEED", "20240809")
+    if not raw.strip().isdecimal():
+        raise BadParameter(f"SPHERIQ_SEED must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _jsonable(obj):
@@ -203,7 +214,7 @@ def cmd_classify(args) -> dict:
         iv = feasible_intervals(profile)[0]
         surface = RotationalSurface(
             family=SurfaceFamily.GENERIC,
-            profile=ReconstructedProfile(chart=ReconstructionMap(profile, iv)),
+            profile=chart_profile(ReconstructionMap(profile, iv)),
             momentum_profile=profile,
         )
     report.update(solve_report(classify_rotational_surface(surface)))
@@ -219,8 +230,7 @@ def cmd_verify(args) -> dict:
         t = prof.turning_latitude()
         z = rng.uniform(-0.99 * t, 0.99 * t, n)
         z = z[np.abs(z) > 1e-6]
-        report["relation"] = "sextic"
-        report["residual_max"] = float(np.max(np.abs(sextic_residual(args.fake_paraboloid, z))))
+        relation, res = "sextic", sextic_residual(args.fake_paraboloid, z)
     elif args.quadric is not None:
         mu, c = args.quadric
         prof = QuadricMomentum(mu, c)
@@ -229,24 +239,25 @@ def cmd_verify(args) -> dict:
             pad = 0.01 * iv.width
             z = rng.uniform(iv.z_lo + pad, iv.z_hi - pad, n)
             z = z[np.abs(z) > 1e-6]
-            res.append(np.max(np.abs(cubic_residual(prof, mu, z))))
-        report["relation"] = "cubic"
-        report["residual_max"] = float(np.max(res))
+            res.append(cubic_residual(prof, mu, z))
+        relation, res = "cubic", np.concatenate(res)
     elif args.constant is not None:
         prof = ConstantMomentum(args.constant)
         z = rng.uniform(-0.9, 0.9, n)
-        report["relation"] = "km=0"
-        report["residual_max"] = float(np.max(np.abs(prof.derivative(z))))
+        relation, res = "km=0", prof.derivative(z)
     elif args.linear is not None:
         prof = LinearMomentum(args.linear)
         z = rng.uniform(-0.5, 0.5, n)
         z = z[np.abs(z) > 1e-6]
         km = np.asarray(prof.derivative(z))
         kp = np.asarray(prof.value(z)) / z
-        report["relation"] = "km=kp"
-        report["residual_max"] = float(np.max(np.abs(km - kp)))
+        relation, res = "km=kp", km - kp
     else:
         raise SpheriqError("nothing to verify")
+    if np.size(res) == 0:
+        raise TooFewSamples("every sampled latitude has |z| <= 1e-6")
+    report["relation"] = relation
+    report["residual_max"] = float(np.max(np.abs(res)))
     report["tol"] = args.tol
     report["passed"] = bool(report["residual_max"] < args.tol)
     return report
@@ -292,13 +303,29 @@ def cmd_project(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(sub, *, step=False, tol=False, csv=False, obj=False):
     sub.add_argument("--json", action="store_true", help="print the report to stdout")
     sub.add_argument("--out-dir", default=".", help="directory for report files")
     if step:
-        sub.add_argument("--step", type=float, default=1e-3, help="arc-length step")
+        sub.add_argument("--step", type=_finite_float, default=1e-3, help="arc-length step")
     if tol:
-        sub.add_argument("--tol", type=float, default=1e-10, help="pass tolerance")
+        sub.add_argument("--tol", type=_finite_float, default=1e-10, help="pass tolerance")
     if csv:
         sub.add_argument("--csv", help="CSV output path for curves")
     if obj:
@@ -306,15 +333,15 @@ def _add_common(sub, *, step=False, tol=False, csv=False, obj=False):
 
 
 def _add_conic_flags(sub):
-    sub.add_argument("--horizontal", nargs=2, type=float, metavar=("C", "D"))
-    sub.add_argument("--vertical", nargs=2, type=float, metavar=("A", "B"))
+    sub.add_argument("--horizontal", nargs=2, type=_finite_float, metavar=("C", "D"))
+    sub.add_argument("--vertical", nargs=2, type=_finite_float, metavar=("A", "B"))
 
 
 def _add_profile_flags(sub, conic_too=False):
-    sub.add_argument("--quadric", nargs=2, type=float, metavar=("MU", "C"))
-    sub.add_argument("--constant", type=float, metavar="K")
-    sub.add_argument("--linear", type=float, metavar="K0")
-    sub.add_argument("--fake-paraboloid", type=float, metavar="A")
+    sub.add_argument("--quadric", nargs=2, type=_finite_float, metavar=("MU", "C"))
+    sub.add_argument("--constant", type=_finite_float, metavar="K")
+    sub.add_argument("--linear", type=_finite_float, metavar="K0")
+    sub.add_argument("--fake-paraboloid", type=_finite_float, metavar="A")
     if conic_too:
         _add_conic_flags(sub)
 
@@ -338,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct)
 
     p = subs.add_parser("quadric", help="build a quadric surface record and mesh")
-    p.add_argument("--quadric", nargs=2, type=float, metavar=("MU", "C"), required=True)
-    _add_common(p, step=True, obj=True)
+    p.add_argument("--quadric", nargs=2, type=_finite_float, metavar=("MU", "C"), required=True)
+    _add_common(p, obj=True)
     p.set_defaults(func=cmd_quadric)
 
     p = subs.add_parser("classify", help="run the cubic-relation classifier")
@@ -349,13 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="sweep a Weingarten identity residual")
     _add_profile_flags(p)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_positive_int, default=1000)
     _add_common(p, tol=True)
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("project", help="stereographic image and quartic residuals")
-    p.add_argument("--quadric", nargs=2, type=float, metavar=("MU", "C"))
-    p.add_argument("--horizontal", nargs=2, type=float, metavar=("C", "D"))
+    p.add_argument("--quadric", nargs=2, type=_finite_float, metavar=("MU", "C"))
+    p.add_argument("--horizontal", nargs=2, type=_finite_float, metavar=("C", "D"))
     _add_common(p, obj=True)
     p.set_defaults(func=cmd_project)
     return parser

@@ -474,23 +474,6 @@ def sample_loop(conic: CylinderConic, n: int = 2000, branch: int = 1) -> np.ndar
     return np.concatenate([upper, lower, upper[:1]], axis=0)
 
 
-# ---------------------------------------------------------------------------
-# JSON descriptors
-# ---------------------------------------------------------------------------
-
-
-def conic_to_json(conic: CylinderConic) -> dict:
-    return {"kind": conic.kind.value, "p": conic.p, "q": conic.q}
-
-
-def conic_from_json(data: dict) -> CylinderConic:
-    try:
-        kind = ConicKind(data["kind"])
-        return CylinderConic(kind, float(data["p"]), float(data["q"]))
-    except (KeyError, ValueError) as exc:
-        raise DegenerateInput(f"bad conic descriptor: {data!r}") from exc
-
-
 def conic_report(conic: CylinderConic) -> dict:
     """Classification report: class tag, focal (d, e) and momentum (mu, c)."""
     cls = classify(conic)

@@ -214,37 +214,6 @@ class SpheroCylindricalMomentum(MomentumProfile):
         return (z * z + 4.0 * self.a * self.a / t2) / self._w(z)
 
 
-def profile_from_json(data: dict) -> MomentumProfile:
-    """Build a profile from the CLI-facing descriptor."""
-    try:
-        family = data["family"]
-        if family == "constant":
-            return ConstantMomentum(float(data["k"]))
-        if family == "linear":
-            return LinearMomentum(float(data["k0"]))
-        if family == "quadric":
-            return QuadricMomentum(
-                float(data["mu"]), float(data["c"]), int(data.get("sign", 1))
-            )
-        if family == "spherocylindrical":
-            return SpheroCylindricalMomentum(float(data["a"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DegenerateInput(f"bad profile descriptor {data!r}") from exc
-    raise DegenerateInput(f"unknown profile family {family!r}")
-
-
-def profile_to_json(p: MomentumProfile) -> dict:
-    if isinstance(p, ConstantMomentum):
-        return {"family": "constant", "k": p.k}
-    if isinstance(p, LinearMomentum):
-        return {"family": "linear", "k0": p.k0}
-    if isinstance(p, QuadricMomentum):
-        return {"family": "quadric", "mu": p.mu, "c": p.c, "sign": p.sign}
-    if isinstance(p, SpheroCylindricalMomentum):
-        return {"family": "spherocylindrical", "a": p.a}
-    raise DegenerateInput(f"unknown profile type {type(p)!r}")
-
-
 # ---------------------------------------------------------------------------
 # feasible intervals
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def mesh_from_surface(
     if ns < 4 or nt < 4:
         raise DegenerateInput("need ns, nt >= 4")
     lo, hi = surface.s_domain
-    closed_s = bool(getattr(surface.profile, "closed", False))
+    closed_s = surface.profile.closed
     if closed_s:
         s = lo + (hi - lo) * np.arange(ns) / ns
     else:

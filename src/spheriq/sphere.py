@@ -21,20 +21,6 @@ UNIT_TOL = 1e-12
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
-def unit2(x: float, y: float, z: float) -> np.ndarray:
-    """Build a point on S^2, enforcing the unit-norm invariant."""
-    p = np.array([x, y, z], dtype=float)
-    check_unit(p)
-    return p
-
-
-def unit3(x1: float, x2: float, x3: float, x4: float) -> np.ndarray:
-    """Build a point on S^3, enforcing the unit-norm invariant."""
-    p = np.array([x1, x2, x3, x4], dtype=float)
-    check_unit(p)
-    return p
-
-
 def check_unit(p: np.ndarray, tol: float = UNIT_TOL) -> None:
     """Raise if any point in the trailing axis is off the unit sphere."""
     err = np.abs(np.sum(np.asarray(p) ** 2, axis=-1) - 1.0)
@@ -308,38 +294,32 @@ def rotate_z(points: np.ndarray, angle: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# closed-form reference curves
+# closed-form circles
 # ---------------------------------------------------------------------------
 
 
-def parallel_curve(phi0: float, step: float = 1e-3, length: float | None = None) -> SampledCurve:
-    """Parallel of latitude phi0 (constant curvature tan(phi0))."""
-    c0, s0 = np.cos(phi0), np.sin(phi0)
-    if c0 <= 0:
-        raise DegenerateInput("latitude must lie in (-pi/2, pi/2)")
-    if length is None:
-        length = 2 * np.pi * c0
-    s = np.arange(0.0, length + step / 2, step)
-    pts = np.stack([c0 * np.cos(s / c0), c0 * np.sin(s / c0), np.full_like(s, s0)], axis=1)
-    return SampledCurve(s=s, points=pts)
+def parallel_point(phi0: float, s) -> np.ndarray:
+    """Parallel of latitude phi0 at arc length s (curvature tan(phi0))."""
+    s = np.asarray(s, dtype=float)
+    c0 = np.cos(phi0)
+    return np.stack(
+        [c0 * np.cos(s / c0), c0 * np.sin(s / c0), np.full_like(s, np.sin(phi0))], axis=-1
+    )
 
 
-def great_circle_curve(theta: float, step: float = 1e-3, length: float = 2 * np.pi) -> SampledCurve:
+def great_circle_point(theta: float, s) -> np.ndarray:
     """Great circle at angle theta to the equator (geodesic, momentum -cos theta)."""
-    ct, st = np.cos(theta), np.sin(theta)
-    s = np.arange(0.0, length + step / 2, step)
-    pts = np.stack([np.cos(s), ct * np.sin(s), st * np.sin(s)], axis=1)
-    return SampledCurve(s=s, points=pts)
+    s = np.asarray(s, dtype=float)
+    return np.stack([np.cos(s), np.cos(theta) * np.sin(s), np.sin(theta) * np.sin(s)], axis=-1)
 
 
-def small_circle_curve(delta: float, step: float = 1e-3, length: float | None = None) -> SampledCurve:
+def small_circle_point(delta: float, s) -> np.ndarray:
     """Small circle y = tanh(delta), orthogonal to the equator (curvature -sinh delta)."""
-    ch, th = np.cosh(delta), np.tanh(delta)
-    if length is None:
-        length = 2 * np.pi / ch
-    s = np.arange(0.0, length + step / 2, step)
-    pts = np.stack([np.cos(ch * s) / ch, np.full_like(s, th), np.sin(ch * s) / ch], axis=1)
-    return SampledCurve(s=s, points=pts)
+    s = np.asarray(s, dtype=float)
+    ch = np.cosh(delta)
+    return np.stack(
+        [np.cos(ch * s) / ch, np.full_like(s, np.tanh(delta)), np.sin(ch * s) / ch], axis=-1
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ x3^2 + x4^2 = 2 a x2 that satisfy only a sextic curvature relation.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from .momentum import (
     SpheroCylindricalMomentum,
     feasible_intervals,
 )
-from .sphere import SampledCurve, _fornberg_weights
+from .sphere import _fornberg_weights, great_circle_point, parallel_point, small_circle_point
 
 
 class SurfaceFamily(enum.Enum):
@@ -96,69 +98,21 @@ class QuadricSpec:
 
 
 @dataclass(frozen=True)
-class ClosedFormProfile:
-    """Profile with an exact parametrization, periodic in arc length."""
+class Profile:
+    """Profile curve s -> (x, y, z) on [0, length]; closed ones are periodic."""
 
-    fn: callable = field(repr=False)
-    period: float
+    point: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    length: float
     closed: bool = True
 
     @property
     def s_domain(self) -> tuple[float, float]:
-        return (0.0, self.period)
-
-    def point(self, s) -> np.ndarray:
-        return self.fn(np.asarray(s, dtype=float))
+        return (0.0, self.length)
 
 
-@dataclass(frozen=True)
-class ReconstructedProfile:
-    """Profile evaluated through the arc-length chart of its momentum."""
-
-    chart: ReconstructionMap = field(repr=False)
-    branches: int = 2
-    closed: bool = False
-
-    @property
-    def period(self) -> float:
-        return 2.0 * self.chart.branch_length
-
-    @property
-    def s_domain(self) -> tuple[float, float]:
-        return (0.0, self.branches * self.chart.branch_length)
-
-    def point(self, s) -> np.ndarray:
-        return self.chart.point(s)
-
-
-@dataclass(frozen=True)
-class FakeParaboloidProfile:
-    """Sphero-cylindrical loop with positions snapped to the exact curve.
-
-    The chart supplies arc length -> latitude; x and y then come from the
-    closed form x^2 = (4a^2 - 4a^2 z^2 - z^4) / (4a^2), y = z^2 / (2a),
-    with the x-branch sign flipping at each turning point.
-    """
-
-    a: float
-    chart: ReconstructionMap = field(repr=False)
-    closed: bool = True
-
-    @property
-    def period(self) -> float:
-        return 2.0 * self.chart.branch_length
-
-    @property
-    def s_domain(self) -> tuple[float, float]:
-        return (0.0, self.period)
-
-    def point(self, s) -> np.ndarray:
-        z, _ = self.chart.fold(s)
-        sign = np.where(self.chart.rising(s), 1.0, -1.0)
-        x = sign * fake_paraboloid_x(self.a, z)
-        return np.stack(
-            [x, z * z / (2.0 * self.a), np.asarray(z, dtype=float)], axis=-1
-        )
+def chart_profile(chart: ReconstructionMap) -> Profile:
+    """Open profile over both monotone branches of an arc-length chart."""
+    return Profile(chart.point, 2.0 * chart.branch_length, closed=False)
 
 
 def fake_paraboloid_x(a: float, z) -> np.ndarray:
@@ -169,19 +123,12 @@ def fake_paraboloid_x(a: float, z) -> np.ndarray:
     return np.sqrt(np.clip(rad, 0.0, None)) / (2.0 * abs(a))
 
 
-def fake_paraboloid_point(a: float, t, branch: int = 1) -> np.ndarray:
-    """Closed-form parametrization (x(t), t^2/2a, t) of the profile loop."""
-    t = np.asarray(t, dtype=float)
-    x = branch * fake_paraboloid_x(a, t)
-    return np.stack([x, t * t / (2.0 * a), t], axis=-1)
-
-
 @dataclass(frozen=True)
 class RotationalSurface:
     """Surface of revolution in S^3 with an optional analytic momentum."""
 
     family: SurfaceFamily
-    profile: object
+    profile: Profile
     momentum_profile: MomentumProfile | None = None
     quadric: QuadricSpec | None = None
     params: dict = field(default_factory=dict)
@@ -190,22 +137,13 @@ class RotationalSurface:
     def s_domain(self) -> tuple[float, float]:
         return self.profile.s_domain
 
-    def profile_point(self, s) -> np.ndarray:
-        return self.profile.point(s)
-
-    def profile_curve(self, step: float = 1e-3) -> SampledCurve:
-        lo, hi = self.s_domain
-        n = int(np.floor((hi - lo) / step)) + 1
-        s = lo + np.arange(n) * step
-        return SampledCurve(s=s, points=self.profile.point(s))
-
 
 def surface_point(surface: RotationalSurface, s, t) -> np.ndarray:
     """X(s, t) = (x(s), y(s), z(s) cos t, z(s) sin t), broadcast over s, t."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     lo, hi = surface.s_domain
-    if not getattr(surface.profile, "closed", False):
+    if not surface.profile.closed:
         if np.any(s < lo - 1e-9) or np.any(s > hi + 1e-9):
             raise OutOfDomain(f"s outside profile domain [{lo}, {hi}]")
     pts = surface.profile.point(s)
@@ -356,14 +294,6 @@ def implicit_residuals(surface: RotationalSurface, q: np.ndarray) -> dict:
     return out
 
 
-def implicit_residual(surface: RotationalSurface, q: np.ndarray):
-    """Residual of the family's defining implicit equation at q."""
-    forms = implicit_residuals(surface, q)
-    key = "x2_form" if "x2_form" in forms else "x1_form"
-    res = forms[key]
-    return float(res) if np.ndim(res) == 0 else res
-
-
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -439,24 +369,7 @@ def make_quadric(mc: MomentumCoeffs, prolate: bool = False) -> QuadricSpec:
             momentum=mc,
             c2=c2, d2=d2,
         )
-    _check_hat_ranges(spec)
     return spec
-
-
-def _check_hat_ranges(spec: QuadricSpec) -> None:
-    ah, bh = np.sqrt(spec.alpha_hat2), np.sqrt(spec.beta_hat2)
-    fam = spec.family
-    ok = True
-    if fam is SurfaceFamily.QUADRIC_I:
-        ok = ah < 1 and bh < 1 and ah / bh > 1
-    elif fam is SurfaceFamily.QUADRIC_IIA:
-        ok = ah < 1 and bh < 1 and ah / bh < 1
-    elif fam is SurfaceFamily.QUADRIC_III:
-        ok = ah > 1 and bh > 1 and ah / bh < 1
-    elif fam is SurfaceFamily.QUADRIC_IIB:
-        ok = ah / bh < 1
-    if not ok:
-        raise OutOfRegion(f"hat coefficients out of range for {fam.value}")
 
 
 def _quadric_interval(profile: QuadricMomentum, family: SurfaceFamily) -> FeasibleInterval:
@@ -481,10 +394,9 @@ def make_quadric_surface(
     chart = ReconstructionMap(profile, iv, lambda0=lambda0)
     return RotationalSurface(
         family=spec.family,
-        profile=ReconstructedProfile(chart=chart, branches=2),
+        profile=chart_profile(chart),
         momentum_profile=profile,
         quadric=spec,
-        params={"mu": mc.mu, "c": mc.c},
     )
 
 
@@ -497,16 +409,9 @@ def make_degenerate(kind: SurfaceFamily, param: float = 0.0) -> RotationalSurfac
             raise BadParameter("umbilical parameter must be >= 0")
         if param == 0.0:
             return _equatorial()
-        ch, th = np.cosh(param), np.tanh(param)
-
-        def eta(s):
-            return np.stack(
-                [np.cos(ch * s) / ch, np.full_like(s, th), np.sin(ch * s) / ch], axis=-1
-            )
-
         return RotationalSurface(
             family=SurfaceFamily.UMBILICAL,
-            profile=ClosedFormProfile(fn=eta, period=2 * np.pi / ch),
+            profile=Profile(partial(small_circle_point, param), 2 * np.pi / np.cosh(param)),
             momentum_profile=LinearMomentum(-np.sinh(param)),
             params={
                 "delta": param,
@@ -517,16 +422,9 @@ def make_degenerate(kind: SurfaceFamily, param: float = 0.0) -> RotationalSurfac
     if kind is SurfaceFamily.STANDARD_TORUS:
         if not 0 < param < np.pi / 2:
             raise BadParameter("torus latitude must lie in (0, pi/2)")
-        c0, s0 = np.cos(param), np.sin(param)
-
-        def xi(s):
-            return np.stack(
-                [c0 * np.cos(s / c0), c0 * np.sin(s / c0), np.full_like(s, s0)], axis=-1
-            )
-
         return RotationalSurface(
             family=SurfaceFamily.STANDARD_TORUS,
-            profile=ClosedFormProfile(fn=xi, period=2 * np.pi * c0),
+            profile=Profile(partial(parallel_point, param), 2 * np.pi * np.cos(param)),
             momentum_profile=None,  # constant latitude: K(z) never applies
             params={
                 "phi0": param,
@@ -537,15 +435,11 @@ def make_degenerate(kind: SurfaceFamily, param: float = 0.0) -> RotationalSurfac
     if kind is SurfaceFamily.SPHERICAL_MOON:
         if not (0 < param < np.pi) or param == np.pi / 2:
             raise BadParameter("moon angle must lie in (0, pi) minus pi/2")
-        ct, st = np.cos(param), np.sin(param)
-
-        def mu_theta(s):
-            return np.stack([np.cos(s), ct * np.sin(s), st * np.sin(s)], axis=-1)
-
+        st = np.sin(param)
         return RotationalSurface(
             family=SurfaceFamily.SPHERICAL_MOON,
-            profile=ClosedFormProfile(fn=mu_theta, period=2 * np.pi),
-            momentum_profile=ConstantMomentum(-ct),
+            profile=Profile(partial(great_circle_point, param), 2 * np.pi),
+            momentum_profile=ConstantMomentum(-np.cos(param)),
             params={
                 "theta": param,
                 "alpha_hat2": st * st,
@@ -556,12 +450,10 @@ def make_degenerate(kind: SurfaceFamily, param: float = 0.0) -> RotationalSurfac
 
 
 def _equatorial() -> RotationalSurface:
-    def meridian(s):
-        return np.stack([np.cos(s), np.zeros_like(s), np.sin(s)], axis=-1)
-
+    # the meridian is the delta = 0 small circle: cosh 0 = 1 and tanh 0 = 0 exactly
     return RotationalSurface(
         family=SurfaceFamily.EQUATORIAL,
-        profile=ClosedFormProfile(fn=meridian, period=2 * np.pi),
+        profile=Profile(partial(small_circle_point, 0.0), 2 * np.pi),
         momentum_profile=ConstantMomentum(0.0),
         params={"delta": 0.0, "alpha_hat2": 1.0, "beta_hat2": 1.0},
     )
@@ -589,16 +481,28 @@ def quadric_spec_to_json(spec: QuadricSpec) -> dict:
     }
 
 
-def make_fake_paraboloid(a: float, step: float = 1e-3) -> RotationalSurface:
-    """Surface x3^2 + x4^2 = 2 a x2 over the sphero-cylindrical loop."""
+def make_fake_paraboloid(a: float) -> RotationalSurface:
+    """Surface x3^2 + x4^2 = 2 a x2 over the sphero-cylindrical loop.
+
+    The chart supplies arc length -> latitude; x and y then come from the
+    closed form x^2 = (4a^2 - 4a^2 z^2 - z^4) / (4a^2), y = z^2 / (2a),
+    with the x-branch sign flipping at each turning point.
+    """
     if a == 0.0:
         raise BadParameter("fake paraboloid needs a != 0")
     profile = SpheroCylindricalMomentum(a)
     iv = feasible_intervals(profile)[0]
     chart = ReconstructionMap(profile, iv)
+
+    def point(s) -> np.ndarray:
+        z, _ = chart.fold(s)
+        sign = np.where(chart.rising(s), 1.0, -1.0)
+        x = sign * fake_paraboloid_x(a, z)
+        return np.stack([x, z * z / (2.0 * a), np.asarray(z, dtype=float)], axis=-1)
+
     return RotationalSurface(
         family=SurfaceFamily.FAKE_PARABOLOID,
-        profile=FakeParaboloidProfile(a=a, chart=chart),
+        profile=Profile(point, 2.0 * chart.branch_length),
         momentum_profile=profile,
-        params={"a": a, "step": step},
+        params={"a": a},
     )

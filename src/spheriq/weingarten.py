@@ -107,8 +107,7 @@ class CubicSolveResult:
     """Outcome of the cubic-relation case tree.
 
     mu is None only for the equatorial sphere, where every mu satisfies the
-    relation; sp carries the (S, P) intermediates of the vertical-form
-    solution when one exists (c > 0).
+    relation.
     """
 
     case: SolveCase
@@ -118,7 +117,6 @@ class CubicSolveResult:
     phi0: float | None = None
     theta: float | None = None
     spec: QuadricSpec | None = None  # set for the non-degenerate case
-    sp: tuple[float, float] | None = None
     residual_max: float | None = None
 
 
@@ -165,10 +163,7 @@ def solve_cubic_weingarten(
         delta = float(np.arcsinh(1.0 / np.sqrt(mu)))
         return CubicSolveResult(case=SolveCase.UMBILICAL_SPHERE, mu=mu, c=0.0, delta=delta)
     spec = make_quadric(MomentumCoeffs(mu, c))  # raises OutOfRegion if invalid
-    sp = ((mu + c + 1.0) / c, 1.0 / c) if c > 0 else None
-    return CubicSolveResult(
-        case=SolveCase.NONDEGENERATE_QUADRIC, mu=mu, c=c, spec=spec, sp=sp
-    )
+    return CubicSolveResult(case=SolveCase.NONDEGENERATE_QUADRIC, mu=mu, c=c, spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +224,7 @@ def classify_rotational_surface(
     probe = surface_point(surface, s_use, 0.37)
     imp = np.max(np.abs(quadric_residuals(result.spec, probe)["x2_form"]))
     return CubicSolveResult(
-        case=result.case, mu=fit.mu, c=c_hat, spec=result.spec, sp=result.sp,
+        case=result.case, mu=fit.mu, c=c_hat, spec=result.spec,
         residual_max=float(max(fit.max_residual, imp)),
     )
 

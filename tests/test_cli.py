@@ -158,6 +158,49 @@ class TestProjectCommand:
         assert rep["residual_max"] < 1e-9
 
 
+class TestInvalidInput:
+    TINY_III = ["--quadric", "8.991968270924341e-13", "-58.372297418058906"]
+
+    @pytest.mark.parametrize(
+        "argv, seed",
+        [
+            pytest.param(["quadric", "--quadric", "nan", "1"], None, id="quadric-nan"),
+            pytest.param(["quadric", "--quadric", "inf", "1"], None, id="quadric-inf"),
+            pytest.param(["classify", "--quadric", "nan", "1"], None, id="classify-nan"),
+            pytest.param(
+                ["reconstruct", "--constant", "0.5", "--step", "nan"], None, id="reconstruct-step-nan"
+            ),
+            pytest.param(
+                ["conic", "--horizontal", "2", "0.5", "--csv", "x.csv", "--step", "nan"],
+                None,
+                id="conic-step-nan",
+            ),
+            pytest.param(["verify", "--fake-paraboloid", "nan"], None, id="verify-a-nan"),
+            pytest.param(
+                ["verify", "--quadric", "-1.5", "5", "--samples", "0"], None, id="verify-samples-0"
+            ),
+            pytest.param(
+                ["verify", "--quadric", "-1.5", "5", "--samples", "-3"], None, id="verify-samples-neg"
+            ),
+            pytest.param(["verify", "--quadric", "-1.5", "5"], "abc", id="verify-seed-abc"),
+            pytest.param(["verify", *TINY_III], None, id="verify-band-inside-axis-filter"),
+            pytest.param(
+                ["quadric", "--quadric", "1", "-1", "--step", "1e-3"], None, id="quadric-step"
+            ),
+        ],
+    )
+    def test_exit_2_without_traceback(self, argv, seed, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        if seed is not None:
+            monkeypatch.setenv("SPHERIQ_SEED", seed)
+        try:
+            code = main(argv + ["--json"])
+        except SystemExit as exc:  # argparse rejects the flag
+            code = exc.code
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"

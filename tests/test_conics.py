@@ -10,8 +10,6 @@ from spheriq.conics import (
     MomentumCoeffs,
     canonical_residual,
     classify,
-    conic_from_json,
-    conic_to_json,
     discriminant,
     focal_params,
     horizontal_to_vertical,
@@ -393,12 +391,3 @@ class TestRepresentationConsistency:
             m1, m2 = momentum_coeffs(conic), momentum_coeffs(canon)
             assert abs(m1.mu - m2.mu) < 1e-10 * max(1, abs(m1.mu))
             assert abs(m1.c - m2.c) < 1e-10 * max(1, abs(m1.c))
-
-
-class TestJson:
-    def test_descriptor_roundtrip(self):
-        conic = CylinderConic.horizontal(2.0, 0.5)
-        data = conic_to_json(conic)
-        assert data == {"kind": "horizontal", "p": 2.0, "q": 0.5}
-        back = conic_from_json(data)
-        assert back == conic

@@ -22,8 +22,6 @@ from spheriq.momentum import (
     ReconstructionMap,
     SpheroCylindricalMomentum,
     feasible_intervals,
-    profile_from_json,
-    profile_to_json,
     reconstruct,
     validate_reconstruction,
 )
@@ -62,19 +60,6 @@ class TestProfiles:
         for p in profiles:
             fd = (np.asarray(p.value(z + h)) - np.asarray(p.value(z - h))) / (2 * h)
             assert np.max(np.abs(fd - p.derivative(z))) < 1e-8
-
-    def test_json_roundtrip(self):
-        for p in (
-            ConstantMomentum(-0.5),
-            LinearMomentum(1.2),
-            QuadricMomentum(-1 / 12, 5 / 3, sign=-1),
-            SpheroCylindricalMomentum(2.0),
-        ):
-            assert profile_from_json(profile_to_json(p)) == p
-
-    def test_json_bad_descriptor(self):
-        with pytest.raises(DegenerateInput):
-            profile_from_json({"family": "cubic", "k": 1})
 
 
 def _quartic_real_roots(mu, c):

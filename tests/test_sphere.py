@@ -7,22 +7,40 @@ from spheriq.sphere import (
     GeoCoord,
     SampledCurve,
     cartesian_to_geo,
+    check_unit,
     curvature_from_samples,
     geo_to_cartesian,
     geodesic_distance,
-    great_circle_curve,
+    great_circle_point,
     momentum_from_samples,
-    parallel_curve,
+    parallel_point,
     read_curve_csv,
     resample_by_arclength,
-    small_circle_curve,
-    unit2,
+    small_circle_point,
     write_curve_csv,
 )
 
 NORTH = np.array([0.0, 0.0, 1.0])
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
+
+
+def sampled(point, param, step, length):
+    """Arc-length samples s = 0, step, ... up to length of a closed-form circle."""
+    s = np.arange(0.0, length + step / 2, step)
+    return SampledCurve(s=s, points=point(param, s))
+
+
+def parallel_curve(phi0, step):
+    return sampled(parallel_point, phi0, step, 2 * np.pi * np.cos(phi0))
+
+
+def great_circle_curve(theta, step):
+    return sampled(great_circle_point, theta, step, 2 * np.pi)
+
+
+def small_circle_curve(delta, step):
+    return sampled(small_circle_point, delta, step, 2 * np.pi / np.cosh(delta))
 
 
 class TestGeodesicDistance:
@@ -170,7 +188,7 @@ class TestSampledCurveInvariants:
 
     def test_off_sphere_rejected(self):
         with pytest.raises(DegenerateInput):
-            unit2(1.0, 1.0, 0.0)
+            check_unit(np.array([1.0, 1.0, 0.0]))
 
 
 class TestCsv:

@@ -11,12 +11,11 @@ from spheriq.momentum import (
     SpheroCylindricalMomentum,
     feasible_intervals,
 )
-from spheriq.sphere import momentum_from_samples
+from spheriq.sphere import SampledCurve, momentum_from_samples
 from spheriq.surfaces import (
     SurfaceFamily,
-    fake_paraboloid_point,
+    fake_paraboloid_x,
     fundamental_forms,
-    implicit_residual,
     implicit_residuals,
     make_degenerate,
     make_fake_paraboloid,
@@ -176,7 +175,6 @@ class TestImplicitForms:
         )
         S = make_quadric_surface(MomentumCoeffs(-1 / 12, 5 / 3))
         X = surface_point(S, interior_samples(S, 25), 0.9)
-        assert np.max(np.abs(implicit_residual(S, X))) < 1e-10
         forms = implicit_residuals(S, X)
         assert np.max(np.abs(forms["x1_form"])) < 1e-10
         assert np.max(np.abs(forms["x2_form"])) < 1e-10
@@ -184,13 +182,13 @@ class TestImplicitForms:
     def test_umbilical_implicit(self):
         S = make_degenerate(SurfaceFamily.UMBILICAL, 1.0)
         X = surface_point(S, np.linspace(0, 2.4, 17), -1.2)
-        assert np.max(np.abs(implicit_residual(S, X))) < 1e-12
+        assert np.max(np.abs(implicit_residuals(S, X)["x1_form"])) < 1e-12
 
     def test_fake_paraboloid_implicit(self):
         S = make_fake_paraboloid(1.0)
         lo, hi = S.s_domain
         X = surface_point(S, np.linspace(lo, hi, 41), 0.3)
-        assert np.max(np.abs(implicit_residual(S, X))) < 1e-10
+        assert np.max(np.abs(implicit_residuals(S, X)["x2_form"])) < 1e-10
 
     def test_moon_cone_form(self):
         theta = np.pi / 3
@@ -228,6 +226,15 @@ class TestMakeQuadric:
         with pytest.raises(OutOfRegion):
             make_quadric(MomentumCoeffs(-0.5, 1.2))
 
+    def test_tiny_mu_pairs_accepted(self):
+        # C^2 rounds to within an ulp of 1 here; the squares checks still hold
+        spec = make_quadric(MomentumCoeffs(8.991968270924341e-13, -58.372297418058906))
+        assert spec.family is SurfaceFamily.QUADRIC_III
+        assert spec.c2 < 1 < spec.d2
+        spec = make_quadric(MomentumCoeffs(2.5418086327506493e-13, 490.39944567761637))
+        assert spec.family is SurfaceFamily.QUADRIC_IIA
+        assert spec.d2 < spec.c2 < 1
+
     def test_definition_coefficient_identities(self, rng):
         # alpha^2, beta^2 agree between the (A, B) and (C, D) expressions
         for _ in range(50):
@@ -257,12 +264,12 @@ class TestProlateCoincidence:
         Sb = make_quadric_surface(mc, prolate=True)
         # IIb's own implicit form holds on IIb points
         Xb = surface_point(Sb, interior_samples(Sb, 30), 1.3)
-        assert np.max(np.abs(implicit_residual(Sb, Xb))) < 1e-10
+        assert np.max(np.abs(implicit_residuals(Sb, Xb)["x2_form"])) < 1e-10
         # after the quarter-turn x1 <-> x2 (a translation along the axis of
         # revolution), IIb points satisfy the IIa equation
         swapped = Xb.copy()
         swapped[:, [0, 1]] = swapped[:, [1, 0]]
-        assert np.max(np.abs(implicit_residual(Sa, swapped))) < 1e-10
+        assert np.max(np.abs(implicit_residuals(Sa, swapped)["x2_form"])) < 1e-10
 
 
 class TestDegenerateConstructors:
@@ -285,7 +292,7 @@ class TestDegenerateConstructors:
     def test_moon_implicit(self):
         S = make_degenerate(SurfaceFamily.SPHERICAL_MOON, np.pi / 3)
         X = surface_point(S, np.linspace(0.2, 6.0, 31), -0.4)
-        assert np.max(np.abs(implicit_residual(S, X))) < 1e-12
+        assert np.max(np.abs(implicit_residuals(S, X)["x2_form"])) < 1e-12
 
     def test_bad_parameters(self):
         with pytest.raises(BadParameter):
@@ -298,10 +305,8 @@ class TestDegenerateConstructors:
 
 class TestFakeParaboloid:
     def test_axis_points(self):
-        p = fake_paraboloid_point(1.0, 0.0, branch=1)
-        assert_allclose(p, [1.0, 0.0, 0.0], atol=1e-15)
-        p = fake_paraboloid_point(1.0, 0.0, branch=-1)
-        assert_allclose(p, [-1.0, 0.0, 0.0], atol=1e-15)
+        # at t = 0 the loop crosses the axis at (+-x(0), 0, 0) with x(0) = 1
+        assert_allclose(fake_paraboloid_x(1.0, 0.0), 1.0, atol=1e-15)
 
     def test_profile_on_circle(self):
         S = make_fake_paraboloid(1.0)
@@ -312,7 +317,9 @@ class TestFakeParaboloid:
 
     def test_profile_momentum_matches_closed_form(self):
         S = make_fake_paraboloid(1.0)
-        cur = momentum_from_samples(S.profile_curve(step=1e-3))
+        lo, hi = S.s_domain
+        s = lo + np.arange(int(np.floor((hi - lo) / 1e-3)) + 1) * 1e-3
+        cur = momentum_from_samples(SampledCurve(s=s, points=S.profile.point(s)))
         prof = SpheroCylindricalMomentum(1.0)
         dev = np.abs(cur.momentum[2:-2] - prof.value(cur.z[2:-2]))
         assert np.max(dev) < 5e-5
@@ -327,6 +334,28 @@ class TestFakeParaboloid:
     def test_zero_a_rejected(self):
         with pytest.raises(BadParameter):
             make_fake_paraboloid(0.0)
+
+
+class TestClosedProfiles:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: make_degenerate(SurfaceFamily.EQUATORIAL),
+            lambda: make_degenerate(SurfaceFamily.UMBILICAL, 0.8),
+            lambda: make_degenerate(SurfaceFamily.STANDARD_TORUS, 0.5),
+            lambda: make_degenerate(SurfaceFamily.SPHERICAL_MOON, 2.0),
+            lambda: make_fake_paraboloid(1.3),
+            lambda: make_fake_paraboloid(-0.8),
+        ],
+        ids=["equatorial", "umbilical", "torus", "moon", "fake_paraboloid", "fake_paraboloid_neg"],
+    )
+    def test_profile_is_periodic(self, make):
+        # the mesh identifies the s-seam of a closed profile
+        S = make()
+        assert S.profile.closed
+        s = np.linspace(-1.0, 1.0, 9) * S.profile.length
+        gap = S.profile.point(s + S.profile.length) - S.profile.point(s)
+        assert np.max(np.abs(gap)) < 1e-13
 
 
 class TestDomainContracts:

@@ -202,13 +202,11 @@ class TestSolve:
         assert r.spec.family is SurfaceFamily.QUADRIC_I
         assert r.spec.a2 == 0.5
         assert_allclose(r.spec.d2, 0.6, rtol=1e-14)
-        assert r.sp is not None
 
     def test_type_iii(self):
         r = solve_cubic_weingarten(1.0, -1.0)
         assert r.spec.family is SurfaceFamily.QUADRIC_III
         assert r.spec.d2 > 1 > r.spec.c2
-        assert r.sp is None  # no vertical form when c < 0
 
     def test_out_of_region(self):
         with pytest.raises(OutOfRegion):
