@@ -3,8 +3,9 @@
 Curves are handled as discrete samples parameterized by arc length.  The
 geodesic curvature of a unit-speed curve u(s) is det(u, u', u'') and the
 angular momentum about the z-axis is x'y - xy'; both are recovered from
-samples with finite differences (3-point first derivatives, 5-point second
-derivatives, one-sided second-order stencils at the ends).
+uniformly spaced samples with finite differences (3-point first
+derivatives, 5-point second derivatives, one-sided second-order stencils
+at the ends).
 """
 
 from __future__ import annotations
@@ -145,70 +146,32 @@ class SampledCurve:
         return len(self.s)
 
 
-def _fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
-    """Finite-difference weights for derivatives 0..m at z on nodes x."""
-    n = len(x)
-    w = np.zeros((m + 1, n))
-    c1, c4 = 1.0, x[0] - z
-    w[0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2, c5, c4 = 1.0, c4, x[i] - z
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    w[k, i] = c1 * (k * w[k - 1, i - 1] - c5 * w[k, i - 1]) / c2
-                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
-            for k in range(mn, 0, -1):
-                w[k, j] = ((x[i] - z) * w[k, j] - k * w[k - 1, j]) / c3
-            w[0, j] = (x[i] - z) * w[0, j] / c3
-        c1 = c2
-    return w
-
-
-def _is_uniform(s: np.ndarray) -> bool:
-    ds = np.diff(s)
-    h = ds.mean()
-    return bool(np.max(np.abs(ds - h)) <= 1e-9 * abs(h))
-
-
 def curve_derivatives(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second derivatives of sampled columns y(s).
 
     Interior rows use a 3-point central first derivative and a 5-point
     central second derivative; the outermost rows fall back to one-sided
-    second-order stencils.  Non-uniform spacing is handled with per-row
-    Fornberg weights.
+    second-order stencils.  The spacing of s must be uniform.
     """
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(s)
     if n < 5:
         raise TooFewSamples(f"need >= 5 samples for derivatives, got {n}")
+    ds = np.diff(s)
+    if np.max(np.abs(ds - ds.mean())) > 1e-9 * abs(ds.mean()):
+        raise DegenerateInput("derivative stencils need uniformly spaced s")
     d1 = np.empty_like(y)
     d2 = np.empty_like(y)
-    if _is_uniform(s):
-        h = (s[-1] - s[0]) / (n - 1)
-        d1[1:-1] = (y[2:] - y[:-2]) / (2 * h)
-        d1[0] = (-3 * y[0] + 4 * y[1] - y[2]) / (2 * h)
-        d1[-1] = (3 * y[-1] - 4 * y[-2] + y[-3]) / (2 * h)
-        d2[2:-2] = (-y[:-4] + 16 * y[1:-3] - 30 * y[2:-2] + 16 * y[3:-1] - y[4:]) / (
-            12 * h * h
-        )
-        d2[1] = (y[0] - 2 * y[1] + y[2]) / (h * h)
-        d2[-2] = (y[-3] - 2 * y[-2] + y[-1]) / (h * h)
-        d2[0] = (2 * y[0] - 5 * y[1] + 4 * y[2] - y[3]) / (h * h)
-        d2[-1] = (2 * y[-1] - 5 * y[-2] + 4 * y[-3] - y[-4]) / (h * h)
-        return d1, d2
-    for i in range(n):
-        j1 = min(max(i - 1, 0), n - 3)
-        w1 = _fornberg_weights(s[i], s[j1 : j1 + 3], 1)
-        d1[i] = w1[1] @ y[j1 : j1 + 3]
-        j2 = min(max(i - 2, 0), n - 5)
-        w2 = _fornberg_weights(s[i], s[j2 : j2 + 5], 2)
-        d2[i] = w2[2] @ y[j2 : j2 + 5]
+    h = (s[-1] - s[0]) / (n - 1)
+    d1[1:-1] = (y[2:] - y[:-2]) / (2 * h)
+    d1[0] = (-3 * y[0] + 4 * y[1] - y[2]) / (2 * h)
+    d1[-1] = (3 * y[-1] - 4 * y[-2] + y[-3]) / (2 * h)
+    d2[2:-2] = (-y[:-4] + 16 * y[1:-3] - 30 * y[2:-2] + 16 * y[3:-1] - y[4:]) / (12 * h * h)
+    d2[1] = (y[0] - 2 * y[1] + y[2]) / (h * h)
+    d2[-2] = (y[-3] - 2 * y[-2] + y[-1]) / (h * h)
+    d2[0] = (2 * y[0] - 5 * y[1] + 4 * y[2] - y[3]) / (h * h)
+    d2[-1] = (2 * y[-1] - 5 * y[-2] + 4 * y[-3] - y[-4]) / (h * h)
     return d1, d2
 
 

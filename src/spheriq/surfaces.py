@@ -46,7 +46,7 @@ from .momentum import (
     SpheroCylindricalMomentum,
     feasible_intervals,
 )
-from .sphere import _fornberg_weights, great_circle_point, parallel_point, small_circle_point
+from .sphere import great_circle_point, parallel_point, small_circle_point
 
 
 class SurfaceFamily(enum.Enum):
@@ -160,54 +160,56 @@ def surface_point(surface: RotationalSurface, s, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FundamentalForms:
+    """Coefficients at each stencil centre; an arc-length profile has E = 1, F = M = 0."""
+
     E: float
     F: float
-    G: float
-    L: float
+    G: np.ndarray
+    L: np.ndarray
     M: float
-    N: float
+    N: np.ndarray
 
 
 @dataclass(frozen=True)
 class PrincipalCurvatures:
-    km: float  # along meridians (t constant)
-    kp: float  # along parallels (s constant)
+    km: float | np.ndarray  # along meridians (t constant)
+    kp: float | np.ndarray  # along parallels (s constant)
 
 
-def _profile_jet(surface: RotationalSurface, s: float, h: float):
-    """Profile point and first two s-derivatives from a 5-point stencil."""
-    offsets = np.arange(-2, 3) * h
+# uniform 5-point central weights of the first and second derivative,
+# in units of 1/h and 1/h^2, on the nodes s + (-2, -1, 0, 1, 2) h
+_D1_WEIGHTS = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+_D2_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+
+
+def fundamental_forms(surface: RotationalSurface, s, h: float = 1e-3) -> FundamentalForms:
+    """Coefficients (E, F, G, L, M, N) at profile parameters s, broadcast over s.
+
+    One profile call evaluates every stencil node s + (-2..2) h.  The
+    stencils are centred at s, so near the ends of an open profile they
+    reach past its domain, where the chart continues the curve smoothly
+    through the turning point.
+    """
+    s = np.asarray(s, dtype=float)
     lo, hi = surface.s_domain
-    base = np.clip(s, lo + 2 * h, hi - 2 * h) if not surface.profile.closed else s
-    nodes = base + offsets
-    pts = surface.profile.point(nodes)
-    w = _fornberg_weights(s, nodes, 2)
-    p = w[0] @ pts
-    d1 = w[1] @ pts
-    d2 = w[2] @ pts
-    return p, d1, d2
-
-
-def fundamental_forms(
-    surface: RotationalSurface, s: float, h: float = 1e-3
-) -> FundamentalForms:
-    """Coefficients (E, F, G, L, M, N) at profile parameter s."""
-    lo, hi = surface.s_domain
-    if not surface.profile.closed and not (lo - 1e-9 <= s <= hi + 1e-9):
+    if not surface.profile.closed and (np.any(s < lo - 1e-9) or np.any(s > hi + 1e-9)):
         raise OutOfDomain(f"s={s} outside profile domain [{lo}, {hi}]")
-    p, d1, d2 = _profile_jet(surface, float(s), h)
-    z = p[2]
-    kappa = float(np.dot(p, np.cross(d1, d2)))
-    mom = float(d1[0] * p[1] - p[0] * d1[1])
-    return FundamentalForms(E=1.0, F=0.0, G=float(z * z), L=kappa, M=0.0, N=float(z * mom))
+    pts = surface.profile.point(s[..., None] + np.arange(-2, 3) * h)
+    p = pts[..., 2, :]
+    d1 = _D1_WEIGHTS @ pts / h
+    d2 = _D2_WEIGHTS @ pts / (h * h)
+    z = p[..., 2]
+    kappa = np.sum(p * np.cross(d1, d2), axis=-1)
+    mom = d1[..., 0] * p[..., 1] - p[..., 0] * d1[..., 1]
+    return FundamentalForms(E=1.0, F=0.0, G=z * z, L=kappa, M=0.0, N=z * mom)
 
 
 def principal_curvatures_numeric(
-    surface: RotationalSurface, s: float, h: float = 1e-3
+    surface: RotationalSurface, s, h: float = 1e-3
 ) -> PrincipalCurvatures:
-    """km = L/E, kp = N/G from finite-difference fundamental forms."""
+    """km = L/E, kp = N/G from finite-difference fundamental forms, broadcast over s."""
     forms = fundamental_forms(surface, s, h)
-    if abs(forms.G) < 1e-12:
+    if np.any(np.abs(forms.G) < 1e-12):
         raise ZeroLatitude(f"profile latitude vanishes at s={s}")
     return PrincipalCurvatures(km=forms.L / forms.E, kp=forms.N / forms.G)
 
@@ -227,9 +229,9 @@ def principal_curvatures_analytic(
 
 
 def principal_curvatures_richardson(
-    surface: RotationalSurface, s: float, h: float = 2e-3
+    surface: RotationalSurface, s, h: float = 2e-3
 ) -> PrincipalCurvatures:
-    """Two-step Richardson extrapolation of the numeric curvatures."""
+    """Two-step Richardson extrapolation of the numeric curvatures, broadcast over s."""
     coarse = principal_curvatures_numeric(surface, s, h)
     fine = principal_curvatures_numeric(surface, s, h / 2)
     return PrincipalCurvatures(

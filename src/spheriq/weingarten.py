@@ -26,6 +26,7 @@ from .errors import (
 )
 from .momentum import MomentumProfile, SpheroCylindricalMomentum
 from .surfaces import (
+    PrincipalCurvatures,
     QuadricSpec,
     make_quadric,
     principal_curvatures_richardson,
@@ -67,19 +68,14 @@ class MuFit(NamedTuple):
     max_residual: float
 
 
-def fit_mu(samples) -> MuFit:
+def fit_mu(curv: PrincipalCurvatures) -> MuFit:
     """Least-squares mu minimizing sum (km - mu kp^3)^2 over curvature samples.
 
-    Accepts a list of PrincipalCurvatures-like records or an (n, 2) array of
-    (km, kp) pairs; samples with |kp| <= 1e-6 are discarded.
+    Takes one PrincipalCurvatures record of sample arrays; samples with
+    |kp| <= 1e-6 are discarded.
     """
-    if len(samples) and hasattr(samples[0], "km"):
-        arr = np.asarray([(r.km, r.kp) for r in samples], dtype=float)
-    else:
-        arr = np.asarray(samples, dtype=float)
-    km, kp = arr[:, 0], arr[:, 1]
-    usable = np.abs(kp) > 1e-6
-    km, kp = km[usable], kp[usable]
+    usable = np.abs(curv.kp) > 1e-6
+    km, kp = curv.km[usable], curv.kp[usable]
     if len(km) < 3:
         raise TooFewSamples("fit needs >= 3 samples with |kp| > 1e-6")
     kp3 = kp ** 3
@@ -173,43 +169,39 @@ def solve_cubic_weingarten(
 CUBIC_FIT_TOL = 1e-6
 
 
-def classify_rotational_surface(
-    surface,
-    n_samples: int = 24,
-    tol: float = CUBIC_FIT_TOL,
-) -> CubicSolveResult | NotCubic:
+def classify_rotational_surface(surface) -> CubicSolveResult | NotCubic:
     """Identify which cubic-relation case a rotational surface realizes.
 
-    Principal curvatures are sampled with Richardson-extrapolated stencils;
-    if the best cubic fit leaves a residual above tol the surface is
-    reported NotCubic.  For quadric cases the recovered coefficients are
-    cross-checked against the implicit equation on surface samples.
+    Principal curvatures at 24 samples come from one batched call per
+    Richardson stencil level; if the best cubic fit leaves a residual above
+    CUBIC_FIT_TOL the surface is reported NotCubic.  For quadric cases the
+    recovered coefficients are cross-checked against the implicit equation
+    on surface samples.
     """
     lo, hi = surface.s_domain
     span = hi - lo
-    s_all = np.linspace(lo + 0.03 * span, hi - 0.03 * span, n_samples)
+    s_all = np.linspace(lo + 0.03 * span, hi - 0.03 * span, 24)
     z_all = surface.profile.point(s_all)[:, 2]
     if np.ptp(z_all) < 1e-9:
         # constant latitude: a standard torus at phi0 = arcsin |z|
         phi0 = float(np.arcsin(abs(z_all.mean())))
         return solve_cubic_weingarten(-np.tan(phi0) ** 4, z_constant=True)
-    s_use = s_all[np.abs(z_all) > 0.05]
+    keep = np.abs(z_all) > 0.05
+    s_use, z = s_all[keep], z_all[keep]
     if len(s_use) < 8:
         raise TooFewSamples("fewer than 8 usable curvature samples")
-    curv = [principal_curvatures_richardson(surface, float(s)) for s in s_use]
-    km = np.array([cv.km for cv in curv])
-    kp = np.array([cv.kp for cv in curv])
-    z = surface.profile.point(s_use)[:, 2]
-    if np.max(np.abs(km)) < tol and np.max(np.abs(kp)) < tol:
+    curv = principal_curvatures_richardson(surface, s_use)
+    km, kp = curv.km, curv.kp
+    if np.max(np.abs(km)) < CUBIC_FIT_TOL and np.max(np.abs(kp)) < CUBIC_FIT_TOL:
         return CubicSolveResult(case=SolveCase.EQUATORIAL_SPHERE, mu=None)
-    if np.max(np.abs(km)) < tol:
+    if np.max(np.abs(km)) < CUBIC_FIT_TOL:
         k_bar = float(np.mean(kp * z))  # constant momentum of the moon profile
         theta = float(np.arccos(np.clip(-k_bar, -1.0, 1.0)))
         return CubicSolveResult(
             case=SolveCase.SPHERICAL_MOON, mu=0.0, theta=theta, residual_max=float(np.max(np.abs(km)))
         )
-    fit = fit_mu(np.stack([km, kp], axis=1))
-    if fit.max_residual >= tol:
+    fit = fit_mu(curv)
+    if fit.max_residual >= CUBIC_FIT_TOL:
         return NotCubic(residual_max=fit.max_residual, mu_best=fit.mu)
     usable = np.abs(kp) > 1e-6
     c_hat = float(np.mean((1.0 / kp[usable] ** 2 - fit.mu) / z[usable] ** 2))

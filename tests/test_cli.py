@@ -249,6 +249,19 @@ class TestImports:
                         f"{where}: {name} imports {target}, which comes later"
                     )
 
+    def test_no_private_cross_module_imports(self):
+        # modules share public names only; dunders such as __version__ are public
+        pkg = Path(spheriq.__file__).parent
+        for path in sorted(pkg.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (isinstance(node, ast.ImportFrom) and node.level):
+                    continue
+                private = [
+                    a.name for a in node.names
+                    if a.name.startswith("_") and not a.name.startswith("__")
+                ]
+                assert not private, f"{path.name}:{node.lineno}: imports private {private}"
+
 
 class TestDemos:
     @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)

@@ -115,6 +115,12 @@ class TestCurvature:
         with pytest.raises(TooFewSamples):
             curvature_from_samples(curve)
 
+    def test_non_uniform_spacing_rejected(self):
+        s = np.linspace(0.0, 1.0, 40) + 0.3 * np.linspace(0.0, 1.0, 40) ** 2
+        curve = SampledCurve(s=s, points=small_circle_point(1.0, s))
+        with pytest.raises(DegenerateInput):
+            curvature_from_samples(curve)
+
 
 class TestMomentum:
     def test_great_circle_momentum(self):

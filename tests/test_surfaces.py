@@ -155,6 +155,7 @@ class TestPrincipalCurvatures:
         ]
         for S in surfaces:
             prof = S.momentum_profile
+            kept, scalar, analytic = [], [], []
             for s in interior_samples(S, 7):
                 z = float(S.profile.point(np.array([s]))[0, 2])
                 if abs(z) < 0.1:
@@ -163,6 +164,30 @@ class TestPrincipalCurvatures:
                 ana = principal_curvatures_analytic(prof, z)
                 assert abs(num.km - ana.km) < 1e-4
                 assert abs(num.kp - ana.kp) < 1e-4
+                kept.append(s)
+                scalar.append(num)
+                analytic.append(ana)
+            # the same samples in one array call
+            batch = principal_curvatures_numeric(S, np.array(kept), h=1e-3)
+            assert batch.km.shape == batch.kp.shape == (len(kept),)
+            for i, (num, ana) in enumerate(zip(scalar, analytic)):
+                assert abs(batch.km[i] - ana.km) < 1e-4
+                assert abs(batch.kp[i] - ana.kp) < 1e-4
+                assert abs(batch.km[i] - num.km) < 1e-9
+                assert abs(batch.kp[i] - num.kp) < 1e-9
+
+    @pytest.mark.parametrize("mc", [(-1.5, 5.0), (0.5, 0.5), (1.0, -1.0)])
+    def test_numeric_at_profile_ends(self, mc):
+        # centred stencils reach past the turning points of the open profile
+        S = make_quadric_surface(MomentumCoeffs(*mc))
+        lo, hi = S.s_domain
+        s = np.array([lo, lo + 1e-4, hi - 1e-4, hi])
+        z = S.profile.point(s)[:, 2]
+        num = principal_curvatures_numeric(S, s)
+        for i in range(len(s)):
+            ana = principal_curvatures_analytic(S.momentum_profile, float(z[i]))
+            assert abs(num.km[i] - ana.km) < 1e-8
+            assert abs(num.kp[i] - ana.kp) < 1e-8
 
 
 class TestImplicitForms:

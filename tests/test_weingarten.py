@@ -15,6 +15,7 @@ from spheriq.momentum import (
     ConstantMomentum,
     LinearMomentum,
     QuadricMomentum,
+    ReconstructionMap,
     feasible_intervals,
 )
 from spheriq.surfaces import (
@@ -91,34 +92,29 @@ class TestCubicResidual:
 
 class TestFitMu:
     def test_clifford_torus(self):
-        samples = [PrincipalCurvatures(km=1.0, kp=-1.0)] * 5
+        samples = PrincipalCurvatures(km=np.full(5, 1.0), kp=np.full(5, -1.0))
         fit = fit_mu(samples)
         assert_allclose(fit.mu, -1.0, rtol=1e-14)  # equals -tan^4(pi/4)
 
     def test_umbilical_sphere(self):
         km = kp = -np.sinh(1.0)
-        fit = fit_mu([PrincipalCurvatures(km, kp)] * 4)
+        fit = fit_mu(PrincipalCurvatures(np.full(4, km), np.full(4, kp)))
         assert_allclose(fit.mu, 1.0 / np.sinh(1.0) ** 2, rtol=1e-13)
 
     def test_quadric_surface_samples(self):
         S = make_quadric_surface(MomentumCoeffs(0.5, 0.5))
         lo, hi = S.s_domain
-        samples = []
-        for s in np.linspace(lo + 0.1, hi - 0.1, 12):
-            z = float(S.profile.point(np.array([s]))[0, 2])
-            if abs(z) > 0.05:
-                samples.append(principal_curvatures_numeric(S, float(s)))
-        fit = fit_mu(samples)
+        s = np.linspace(lo + 0.1, hi - 0.1, 12)
+        z = S.profile.point(s)[:, 2]
+        fit = fit_mu(principal_curvatures_numeric(S, s[np.abs(z) > 0.05]))
         assert abs(fit.mu - 0.5) < 1e-6
 
     def test_too_few(self):
         with pytest.raises(TooFewSamples):
-            fit_mu([PrincipalCurvatures(0.1, 1e-9)] * 5)
+            fit_mu(PrincipalCurvatures(np.full(5, 0.1), np.full(5, 1e-9)))
 
     def test_ill_conditioned(self):
-        samples = [
-            PrincipalCurvatures(km=float(k), kp=0.5) for k in (0.0, 0.5, 1.0, 1.5)
-        ]
+        samples = PrincipalCurvatures(km=np.array([0.0, 0.5, 1.0, 1.5]), kp=np.full(4, 0.5))
         with pytest.raises(IllConditioned):
             fit_mu(samples)
 
@@ -291,6 +287,21 @@ class TestClassifier:
         assert r.case is SolveCase.SPHERICAL_MOON
         assert r.mu == 0.0
         assert abs(r.theta - np.pi / 3) < 1e-8 or abs(r.theta - 2 * np.pi / 3) < 1e-8
+
+    def test_chart_calls_batched(self, monkeypatch):
+        # one chart call per stencil level, not one per sample and level
+        calls = []
+        point = ReconstructionMap.point
+
+        def counted(chart, s):
+            calls.append(np.shape(s))
+            return point(chart, s)
+
+        # the profile binds chart.point when the surface is built
+        monkeypatch.setattr(ReconstructionMap, "point", counted)
+        r = classify_rotational_surface(make_quadric_surface(MomentumCoeffs(-1.5, 5.0)))
+        assert r.spec.family is SurfaceFamily.QUADRIC_I
+        assert len(calls) <= 4, calls
 
     def test_report_shape(self):
         r = classify_rotational_surface(make_quadric_surface(MomentumCoeffs(1.0, -1.0)))
