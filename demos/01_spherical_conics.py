@@ -51,8 +51,8 @@ print("\nresidual agreement on sampled loops (should all be ~1e-15)")
 for name, conic in conics.items():
     f = focal_params(conic)
     pts = sample_loop(canonical_form(conic), n=400)
-    locus = max(abs(locus_residual(p, f)) for p in pts)
-    canon = max(abs(canonical_residual(cartesian_to_geo(p), f)) for p in pts)
+    locus = np.max(np.abs(locus_residual(pts, f)))
+    canon = np.max(np.abs(canonical_residual(cartesian_to_geo(pts), f)))
     print(f"{name:34s} locus {locus:.2e}   canonical {canon:.2e}")
 
 # ---------------------------------------------------------------------------

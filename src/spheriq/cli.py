@@ -8,6 +8,7 @@ to OBJ.  Exit codes: 0 success, 2 input validation, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -150,11 +151,9 @@ def cmd_conic(args) -> dict:
     if cls in NONDEGENERATE:
         pts = sample_loop(canonical_form(conic), n=4000)
         f = focal_params(conic)
-        report["locus_residual_max"] = float(
-            np.max(np.abs([locus_residual(p, f) for p in pts]))
-        )
+        report["locus_residual_max"] = float(np.max(np.abs(locus_residual(pts, f))))
         report["canonical_residual_max"] = float(
-            np.max(np.abs([canonical_residual(cartesian_to_geo(p), f) for p in pts]))
+            np.max(np.abs(canonical_residual(cartesian_to_geo(pts), f)))
         )
         if args.csv:
             write_curve_csv(resample_by_arclength(pts, args.step), args.csv)
@@ -303,6 +302,22 @@ def cmd_project(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every token float() accepts as a value.
+
+    argparse alone takes a token for a negative number only in the forms
+    -12 and -1.5, so -1e-05, the form repr gives small floats, would be
+    read as an unknown option.  No option of this CLI looks like a number.
+    """
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _finite_float(text: str) -> float:
     try:
         value = float(text)
@@ -347,7 +362,7 @@ def _add_profile_flags(sub, conic_too=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spheriq",
         description="spherical conics and rotational quadric surfaces in the 3-sphere",
     )
@@ -388,9 +403,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser unchanged, and a new
+    # parser per call is ~360 objects in reference cycles that only a full
+    # garbage collection frees, which piles up across in-process calls
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = args.func(args)
     except NUMERIC_ERRORS as exc:

@@ -295,25 +295,31 @@ def focal_params(conic: CylinderConic) -> FocalConic:
     return FocalConic(float(d), float(e), FocalAxis.FOCI_ON_ZERO_MERIDIAN)
 
 
-def canonical_residual(g: GeoCoord, f: FocalConic) -> float:
-    """LHS - 1 of the canonical geographic equation at the point g."""
+def canonical_residual(g: GeoCoord, f: FocalConic) -> float | np.ndarray:
+    """LHS - 1 of the canonical geographic equation, broadcast over g's fields.
+
+    The coordinates' squares use np.square, not ** 2: a float64 scalar's
+    ** 2 goes through pow(), which can round differently from an array's
+    square, and one point must give the same bits as an array of points.
+    """
     cd2, sd2 = np.cos(f.d) ** 2, np.sin(f.d) ** 2
     ce2, se2 = np.cos(f.e) ** 2, np.sin(f.e) ** 2
-    cp2 = np.cos(g.phi) ** 2
+    cp2, cl2 = np.square(np.cos(g.phi)), np.square(np.cos(g.lam))
     if f.axis is FocalAxis.FOCI_ON_EQUATOR:
-        lhs = cp2 * (np.cos(g.lam) ** 2 / (cd2 / ce2) + np.sin(g.lam) ** 2 / (sd2 / se2))
+        lhs = cp2 * (cl2 / (cd2 / ce2) + np.square(np.sin(g.lam)) / (sd2 / se2))
     else:
-        lhs = cp2 * np.cos(g.lam) ** 2 / (cd2 / ce2) + np.sin(g.phi) ** 2 / (sd2 / se2)
-    return float(lhs - 1.0)
+        lhs = cp2 * cl2 / (cd2 / ce2) + np.square(np.sin(g.phi)) / (sd2 / se2)
+    res = lhs - 1.0
+    return float(res) if np.ndim(res) == 0 else res
 
 
-def locus_residual(p: np.ndarray, f: FocalConic) -> float:
-    """Distance-sum (ellipse) or |difference| (hyperbola) minus 2d."""
+def locus_residual(p: np.ndarray, f: FocalConic) -> float | np.ndarray:
+    """Distance-sum (ellipse) or |difference| (hyperbola) minus 2d, broadcast
+    over the leading axes of p."""
     f1, f2 = f.foci()
     d1, d2 = geodesic_distance(p, f1), geodesic_distance(p, f2)
-    if f.is_ellipse:
-        return float(d1 + d2 - 2 * f.d)
-    return float(abs(d1 - d2) - 2 * f.d)
+    res = d1 + d2 - 2 * f.d if f.is_ellipse else np.abs(d1 - d2) - 2 * f.d
+    return float(res) if np.ndim(res) == 0 else res
 
 
 # ---------------------------------------------------------------------------

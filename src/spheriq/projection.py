@@ -24,6 +24,7 @@ from .errors import (
     IOFailure,
     MissingParams,
 )
+from .sphere import WRITE_CHUNK_ROWS
 from .surfaces import RotationalSurface, SurfaceFamily, surface_point
 
 POLE_EPS = 1e-9
@@ -254,10 +255,12 @@ def write_obj(mesh: Mesh, path) -> None:
         raise IOFailure("OBJ output needs 3-vector vertices; project the mesh first")
     try:
         with open(path, "w") as fh:
-            for v in mesh.vertices:
-                fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-            for f in mesh.faces:
-                fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+            for i in range(0, len(mesh.vertices), WRITE_CHUNK_ROWS):
+                rows = mesh.vertices[i : i + WRITE_CHUNK_ROWS].tolist()
+                fh.writelines("v %r %r %r\n" % tuple(v) for v in rows)
+            for i in range(0, len(mesh.faces), WRITE_CHUNK_ROWS):
+                rows = (mesh.faces[i : i + WRITE_CHUNK_ROWS] + 1).tolist()
+                fh.writelines("f %d %d %d\n" % tuple(f) for f in rows)
     except OSError as exc:
         raise IOFailure(str(exc)) from exc
 

@@ -214,18 +214,21 @@ def principal_curvatures_numeric(
     return PrincipalCurvatures(km=forms.L / forms.E, kp=forms.N / forms.G)
 
 
-def principal_curvatures_analytic(
-    profile: MomentumProfile, z: float
-) -> PrincipalCurvatures:
-    """km = K'(z), kp = K(z)/z, with the odd-profile limit K'(0) at z = 0."""
-    if abs(z) < 1e-12:
-        if abs(float(profile.value(0.0))) < 1e-13:
-            kp = float(profile.derivative(0.0))
-        else:
-            raise ZeroLatitude("K(0) != 0: parallel curvature diverges on the axis")
-    else:
-        kp = float(profile.value(z)) / z
-    return PrincipalCurvatures(km=float(profile.derivative(z)), kp=kp)
+def principal_curvatures_analytic(profile: MomentumProfile, z) -> PrincipalCurvatures:
+    """km = K'(z), kp = K(z)/z, broadcast over z; a scalar z gives floats.
+
+    Where |z| < 1e-12 kp takes the odd-profile limit K'(0).
+    """
+    z = np.asarray(z, dtype=float)
+    axis = np.abs(z) < 1e-12
+    if np.any(axis) and not abs(float(profile.value(0.0))) < 1e-13:
+        raise ZeroLatitude("K(0) != 0: parallel curvature diverges on the axis")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kp = np.where(axis, profile.derivative(0.0), profile.value(z) / z)
+    km = profile.derivative(z)
+    if z.ndim == 0:
+        return PrincipalCurvatures(km=float(km), kp=float(kp))
+    return PrincipalCurvatures(km=km, kp=kp)
 
 
 def principal_curvatures_richardson(

@@ -196,12 +196,9 @@ def test_06_conic_representation_consistency():
         f = focal_params(conic)
         pts = sample_loop(canonical_form(conic), n=500)
         worst_canon = max(
-            worst_canon,
-            np.max(np.abs([canonical_residual(cartesian_to_geo(p), f) for p in pts])),
+            worst_canon, np.max(np.abs(canonical_residual(cartesian_to_geo(pts), f)))
         )
-        worst_locus = max(
-            worst_locus, np.max(np.abs([locus_residual(p, f) for p in pts]))
-        )
+        worst_locus = max(worst_locus, np.max(np.abs(locus_residual(pts, f))))
     f = focal_params(examples[0])
     spot = abs(2 * f.d - 0.9272952180016123)
     ok = worst_canon < 1e-10 and worst_locus < 1e-9 and spot < 1e-12

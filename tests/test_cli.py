@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import spheriq
+from spheriq import cli
 from spheriq.cli import main
 
 SRC = str(Path(spheriq.__file__).resolve().parents[1])
@@ -63,6 +65,40 @@ class TestConic:
         assert code == 0 and path.exists()
         header = path.read_text().splitlines()[0]
         assert header == "s,x,y,z,kappa,momentum"
+
+    @pytest.mark.parametrize(
+        "c, d",
+        [
+            ("0.9984754600285909", "0.8409752590182153"),
+            ("0.9993765665455241", "0.8919071145121753"),
+        ],
+    )
+    def test_csv_of_near_circular_type_ii(self, c, d, tmp_path, capsys):
+        # chords across the sampled chain's corners fall short of the step
+        # by more than 10 h^2; the arc-length check allows for the turn
+        path = tmp_path / "conic.csv"
+        code, rep = run_json(capsys, ["conic", "--horizontal", c, d, "--csv", str(path)])
+        assert code == 0 and path.exists()
+        assert rep["class"] == "TypeII"
+
+    def test_residuals_one_call_each(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append((name, np.shape(args[0])))
+                return fn(*args)
+            return wrapper
+
+        for name in ("locus_residual", "canonical_residual", "cartesian_to_geo"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        code, rep = run_json(capsys, ["conic", "--vertical", "1.2", "0.5"])
+        assert code == 0 and rep["locus_residual_max"] < 1e-9
+        assert [name for name, _ in calls] == [
+            "locus_residual", "cartesian_to_geo", "canonical_residual"
+        ]
+        # every point of the sampled loop in one array
+        assert calls[0][1] == calls[1][1] and calls[0][1][0] >= 4000
 
 
 class TestReconstruct:
@@ -158,6 +194,24 @@ class TestProjectCommand:
         assert rep["residual_max"] < 1e-9
 
 
+class TestNumberTokens:
+    # argparse alone reads -1e-05 as an unknown option, not a negative number
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reconstruct", "--quadric", "-1e-5", "2"],
+            ["classify", "--constant", "-1e-3"],
+            ["classify", "--quadric", "0.5", "-5e-1"],
+        ],
+    )
+    def test_exponent_form_negatives(self, argv, capsys):
+        code, rep = run_json(capsys, argv)
+        assert code == 0
+        values = [float(v) for v in argv[2:]]
+        echo = rep["config"][argv[1].lstrip("-")]
+        assert echo == (values if len(values) > 1 else values[0])
+
+
 class TestInvalidInput:
     TINY_III = ["--quadric", "8.991968270924341e-13", "-58.372297418058906"]
 
@@ -217,6 +271,22 @@ class TestDeterminism:
         for p in (p1, p2):
             assert main(["project", "--quadric", "1", "-1", "--obj", str(p), "--json"]) == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestInProcessCalls:
+    def test_calls_leave_little_cyclic_garbage(self, capsys):
+        # main builds its parser once; a parser per call left ~360 objects in
+        # reference cycles, which pile up between full collections
+        argv = ["conic", "--horizontal", "2", "0.5", "--json"]
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() < 100
+        finally:
+            gc.enable()
+        capsys.readouterr()
 
 
 class TestImports:

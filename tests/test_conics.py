@@ -7,6 +7,7 @@ from spheriq.conics import (
     canonical_form,
     CylinderConic,
     FocalAxis,
+    FocalConic,
     MomentumCoeffs,
     canonical_residual,
     classify,
@@ -23,12 +24,14 @@ from spheriq.conics import (
     vertical_to_horizontal,
 )
 from spheriq.errors import (
+    DegenerateInput,
     EmptyIntersection,
     NotConvertible,
     OutOfRegion,
     OutsideSphere,
 )
 from spheriq.sphere import (
+    SampledCurve,
     cartesian_to_geo,
     geodesic_distance,
     momentum_from_samples,
@@ -224,7 +227,7 @@ class TestResiduals:
         conic = CylinderConic.horizontal(2.0, 0.5)
         f = focal_params(conic)
         pts = sample_loop(conic, n=500)
-        res = [canonical_residual(cartesian_to_geo(p), f) for p in pts]
+        res = canonical_residual(cartesian_to_geo(pts), f)
         assert np.max(np.abs(res)) < 1e-10
 
     def test_off_conic_point_nonzero(self):
@@ -237,7 +240,7 @@ class TestResiduals:
         f = focal_params(conic)
         assert_allclose(2 * f.d, 0.9272952180016123, rtol=0, atol=1e-12)
         pts = sample_loop(conic, n=800)
-        res = [locus_residual(p, f) for p in pts]
+        res = locus_residual(pts, f)
         assert np.max(np.abs(res)) < 1e-9
 
     def test_ellipse_vertex_exact(self):
@@ -261,7 +264,7 @@ class TestResiduals:
             pts = sample_loop(conic, n=400, branch=branch)
             d1 = geodesic_distance(pts, f1)
             d2 = geodesic_distance(pts, f2)
-            res = [locus_residual(p, f) for p in pts]
+            res = locus_residual(pts, f)
             assert np.max(np.abs(res)) < 1e-9
             # the branch farther from f2 satisfies dist(P, f1) = dist(P, directrix)
             directrix_dist = np.abs(np.pi / 2 - d2)
@@ -281,6 +284,63 @@ class TestResiduals:
                 s[0] - (np.pi - 2 * f.d)
             ) else np.pi - 2 * f.d
             assert np.max(np.abs(s - target)) < 1e-9
+
+
+class TestArrayResiduals:
+    @pytest.mark.parametrize("axis", list(FocalAxis))
+    @pytest.mark.parametrize("d,e", [(0.9, 0.4), (0.4, 0.9)], ids=["ellipse", "hyperbola"])
+    def test_array_call_matches_pointwise(self, rng, axis, d, e):
+        f = FocalConic(d, e, axis)
+        pts = rng.normal(size=(6, 50, 3))
+        pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
+        locus = locus_residual(pts, f)
+        canon = canonical_residual(cartesian_to_geo(pts), f)
+        assert locus.shape == canon.shape == (6, 50)
+        flat = pts.reshape(-1, 3)
+        assert np.array_equal(locus.ravel(), [locus_residual(p, f) for p in flat])
+        assert np.array_equal(
+            canon.ravel(), [canonical_residual(cartesian_to_geo(p), f) for p in flat]
+        )
+
+    def test_geo_array_matches_pointwise(self, rng):
+        # both poles, the longitude -pi fold (atan2(-0, -1) = -pi -> pi) and
+        # random points
+        special = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-1.0, -0.0, 0.0]])
+        pts = np.concatenate([special, rng.normal(size=(200, 3))])
+        pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
+        g = cartesian_to_geo(pts)
+        one = [cartesian_to_geo(p) for p in pts]
+        assert all(type(o.lam) is float and type(o.phi) is float for o in one)
+        assert np.array_equal(g.lam, [o.lam for o in one])
+        assert np.array_equal(g.phi, [o.phi for o in one])
+        assert g.lam[2] == np.pi and g.phi[0] == np.pi / 2 and g.phi[1] == -np.pi / 2
+
+    def test_geo_array_checks_every_point(self):
+        pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1e-5]])
+        with pytest.raises(DegenerateInput):
+            cartesian_to_geo(pts)
+
+
+class TestArcLengthCheck:
+    # a 4000-point chain of a gently curved conic has segments longer than
+    # the 1e-3 step and turns by ~1e-2 at each corner; a chord across a
+    # corner falls short of the step by more than 10 h^2
+    SEED3 = (0.9984754600285909, 0.8409752590182153)
+
+    def test_near_circular_type_ii_chains(self):
+        rng = np.random.default_rng(2093)
+        for _ in range(200):
+            c = rng.uniform(0.99, 0.9999)
+            conic = CylinderConic.horizontal(c, rng.uniform(0.3, c))
+            assert classify(conic) is ConicClass.TYPE_II
+            curve = resample_by_arclength(sample_loop(canonical_form(conic), 4000), 1e-3)
+            assert len(curve) > 3
+
+    def test_misspaced_samples_still_rejected(self):
+        conic = canonical_form(CylinderConic.horizontal(*self.SEED3))
+        curve = resample_by_arclength(sample_loop(conic, 4000), 1e-3)
+        with pytest.raises(DegenerateInput, match="chord speed outside"):
+            SampledCurve(s=curve.s * 1.001, points=curve.points)
 
 
 class TestMomentumCoeffs:
@@ -378,8 +438,8 @@ class TestRepresentationConsistency:
             conic = random_nondegenerate(rng)
             f = focal_params(conic)
             pts = sample_loop(canonical_form(conic), n=41)
-            canon = [canonical_residual(cartesian_to_geo(p), f) for p in pts]
-            locus = [locus_residual(p, f) for p in pts]
+            canon = canonical_residual(cartesian_to_geo(pts), f)
+            locus = locus_residual(pts, f)
             assert np.max(np.abs(canon)) < 1e-10
             assert np.max(np.abs(locus)) < 1e-9
 

@@ -17,6 +17,7 @@ from spheriq.projection import (
     stereo_s3,
     write_obj,
 )
+from spheriq.sphere import WRITE_CHUNK_ROWS
 from spheriq.surfaces import (
     SurfaceFamily,
     make_degenerate,
@@ -212,6 +213,19 @@ class TestObj:
         back = read_obj(path)
         assert np.array_equal(back.vertices, mesh.vertices)
         assert np.array_equal(back.faces, mesh.faces)
+
+    def test_bytes_match_row_by_row_reference(self, tmp_path):
+        # vertex and face counts cross the writer's chunk boundary
+        S = make_quadric_surface(MomentumCoeffs(0.5, 0.5))
+        mesh = mesh_from_surface(S, ns=48, nt=48, project=True)
+        assert len(mesh.vertices) > WRITE_CHUNK_ROWS and len(mesh.faces) > 2 * WRITE_CHUNK_ROWS
+        path = tmp_path / "mesh.obj"
+        write_obj(mesh, path)
+        ref = "".join(
+            [f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n" for v in mesh.vertices]
+            + [f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n" for f in mesh.faces]
+        )
+        assert path.read_bytes() == ref.encode()
 
     def test_rejects_4d_vertices(self, tmp_path):
         S = make_degenerate(SurfaceFamily.STANDARD_TORUS, 0.5)

@@ -1,9 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from spheriq.errors import DegenerateInput, TooFewSamples
 from spheriq.sphere import (
+    WRITE_CHUNK_ROWS,
     GeoCoord,
     SampledCurve,
     cartesian_to_geo,
@@ -192,6 +195,16 @@ class TestSampledCurveInvariants:
         with pytest.raises(DegenerateInput):
             SampledCurve(s=s, points=pts)
 
+    def test_strongly_curved_exact_samples_accepted(self):
+        # delta = 4: curvature sinh 4 ~ 27, chord speed ~ 1 - 31 h^2 < 1 - 10 h^2
+        small_circle_curve(4.0, step=1e-3)
+
+    @pytest.mark.parametrize("scale", [1.01, 0.99])
+    def test_strongly_curved_misspaced_rejected(self, scale):
+        c = small_circle_curve(4.0, step=1e-3)
+        with pytest.raises(DegenerateInput, match="chord speed outside"):
+            SampledCurve(s=c.s * scale, points=c.points)
+
     def test_off_sphere_rejected(self):
         with pytest.raises(DegenerateInput):
             check_unit(np.array([1.0, 1.0, 0.0]))
@@ -209,6 +222,24 @@ class TestCsv:
         assert np.array_equal(back.points, c.points)
         assert np.array_equal(back.kappa, c.kappa)
         assert np.array_equal(back.momentum, c.momentum)
+
+    @pytest.mark.parametrize("invariants", [True, False])
+    def test_bytes_match_csv_writer_reference(self, tmp_path, invariants):
+        c = small_circle_curve(0.7, step=2e-3 if invariants else 1e-3)
+        if invariants:
+            c = momentum_from_samples(curvature_from_samples(c))
+        assert len(c) > WRITE_CHUNK_ROWS
+        path, ref = tmp_path / "curve.csv", tmp_path / "ref.csv"
+        write_curve_csv(c, path)
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["s", "x", "y", "z", "kappa", "momentum"])
+            for i in range(len(c)):
+                row = [repr(float(c.s[i]))] + [repr(float(v)) for v in c.points[i]]
+                for col in (c.kappa, c.momentum):
+                    row.append("" if col is None else repr(float(col[i])))
+                writer.writerow(row)
+        assert path.read_bytes() == ref.read_bytes()
 
     def test_missing_fields_blank(self, tmp_path):
         c = great_circle_curve(0.9, step=1e-2)

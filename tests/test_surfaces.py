@@ -32,6 +32,15 @@ def interior_samples(surface, n=9, margin=0.06):
     return np.linspace(lo + margin * (hi - lo), hi - margin * (hi - lo), n)
 
 
+def off_axis_samples(surface, n=7):
+    """Interior samples s with their latitudes z, keeping |z| >= 0.1."""
+    s = interior_samples(surface, n)
+    z = surface.profile.point(s)[:, 2]
+    keep = np.abs(z) >= 0.1
+    assert np.any(keep)
+    return s[keep], z[keep]
+
+
 class TestSurfacePoint:
     def test_equatorial_sphere_x2_zero(self):
         S = make_degenerate(SurfaceFamily.EQUATORIAL)
@@ -102,30 +111,25 @@ class TestPrincipalCurvatures:
 
     def test_quadric_numeric_matches_analytic(self):
         S = make_quadric_surface(MomentumCoeffs(1.0, -1.0))
-        prof = S.momentum_profile
-        for s in interior_samples(S, 7):
-            z = float(S.profile.point(np.array([s]))[0, 2])
-            if abs(z) < 0.1:
-                continue
-            num = principal_curvatures_numeric(S, float(s), h=1e-3)
-            ana = principal_curvatures_analytic(prof, z)
-            assert abs(num.km - ana.km) < 1e-4
-            assert abs(num.kp - ana.kp) < 1e-4
+        s, z = off_axis_samples(S)
+        num = principal_curvatures_numeric(S, s, h=1e-3)
+        ana = principal_curvatures_analytic(S.momentum_profile, z)
+        assert np.max(np.abs(num.km - ana.km)) < 1e-4
+        assert np.max(np.abs(num.kp - ana.kp)) < 1e-4
 
     def test_analytic_quadric_formulas(self):
         mu, c = -1 / 12, 5 / 3
         prof = QuadricMomentum(mu, c)
-        for z in (0.72, 0.75):
-            pc = principal_curvatures_analytic(prof, z)
-            den = mu + c * z * z
-            assert_allclose(pc.km, mu / den**1.5, rtol=1e-13)
-            assert_allclose(pc.kp, 1.0 / np.sqrt(den), rtol=1e-13)
+        z = np.array([0.72, 0.75])
+        pc = principal_curvatures_analytic(prof, z)
+        den = mu + c * z * z
+        assert_allclose(pc.km, mu / den**1.5, rtol=1e-13)
+        assert_allclose(pc.kp, 1.0 / np.sqrt(den), rtol=1e-13)
 
     def test_analytic_linear_umbilical(self):
         prof = LinearMomentum(-np.sinh(0.7))
-        for z in (-0.4, 0.2, 0.55):
-            pc = principal_curvatures_analytic(prof, z)
-            assert_allclose(pc.km, pc.kp, rtol=1e-14)
+        pc = principal_curvatures_analytic(prof, np.array([-0.4, 0.2, 0.55]))
+        assert_allclose(pc.km, pc.kp, rtol=1e-14)
 
     def test_analytic_constant(self):
         prof = ConstantMomentum(-0.5)
@@ -139,6 +143,20 @@ class TestPrincipalCurvatures:
         prof = LinearMomentum(0.8)
         pc = principal_curvatures_analytic(prof, 0.0)
         assert_allclose(pc.kp, 0.8, rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "prof", [LinearMomentum(0.8), QuadricMomentum(0.5, 0.5), SpheroCylindricalMomentum(1.0)]
+    )
+    def test_analytic_array_matches_scalar_calls(self, prof):
+        # the z = 0 limit applies per element; a scalar z still gives floats
+        z = np.array([-0.3, -1e-13, 0.0, 0.2, 0.45])
+        pc = principal_curvatures_analytic(prof, z)
+        for i, zi in enumerate(z):
+            one = principal_curvatures_analytic(prof, float(zi))
+            assert type(one.km) is float and type(one.kp) is float
+            assert pc.km[i] == one.km and pc.kp[i] == one.kp
+        with pytest.raises(ZeroLatitude):
+            principal_curvatures_analytic(ConstantMomentum(-0.5), z)
 
     def test_numeric_zero_latitude(self):
         S = make_degenerate(SurfaceFamily.SPHERICAL_MOON, 1.0)
@@ -154,25 +172,17 @@ class TestPrincipalCurvatures:
             make_fake_paraboloid(1.0),
         ]
         for S in surfaces:
-            prof = S.momentum_profile
-            kept, scalar, analytic = [], [], []
-            for s in interior_samples(S, 7):
-                z = float(S.profile.point(np.array([s]))[0, 2])
-                if abs(z) < 0.1:
-                    continue
-                num = principal_curvatures_numeric(S, float(s), h=1e-3)
-                ana = principal_curvatures_analytic(prof, z)
-                assert abs(num.km - ana.km) < 1e-4
-                assert abs(num.kp - ana.kp) < 1e-4
-                kept.append(s)
-                scalar.append(num)
-                analytic.append(ana)
-            # the same samples in one array call
-            batch = principal_curvatures_numeric(S, np.array(kept), h=1e-3)
-            assert batch.km.shape == batch.kp.shape == (len(kept),)
-            for i, (num, ana) in enumerate(zip(scalar, analytic)):
-                assert abs(batch.km[i] - ana.km) < 1e-4
-                assert abs(batch.kp[i] - ana.kp) < 1e-4
+            s, z = off_axis_samples(S)
+            ana = principal_curvatures_analytic(S.momentum_profile, z)
+            batch = principal_curvatures_numeric(S, s, h=1e-3)
+            assert batch.km.shape == batch.kp.shape == ana.km.shape == (len(s),)
+            assert np.max(np.abs(batch.km - ana.km)) < 1e-4
+            assert np.max(np.abs(batch.kp - ana.kp)) < 1e-4
+            # the array call equals one scalar call per sample
+            for i, si in enumerate(s):
+                num = principal_curvatures_numeric(S, float(si), h=1e-3)
+                assert abs(num.km - ana.km[i]) < 1e-4
+                assert abs(num.kp - ana.kp[i]) < 1e-4
                 assert abs(batch.km[i] - num.km) < 1e-9
                 assert abs(batch.kp[i] - num.kp) < 1e-9
 
@@ -184,10 +194,9 @@ class TestPrincipalCurvatures:
         s = np.array([lo, lo + 1e-4, hi - 1e-4, hi])
         z = S.profile.point(s)[:, 2]
         num = principal_curvatures_numeric(S, s)
-        for i in range(len(s)):
-            ana = principal_curvatures_analytic(S.momentum_profile, float(z[i]))
-            assert abs(num.km[i] - ana.km) < 1e-8
-            assert abs(num.kp[i] - ana.kp) < 1e-8
+        ana = principal_curvatures_analytic(S.momentum_profile, z)
+        assert np.max(np.abs(num.km - ana.km)) < 1e-8
+        assert np.max(np.abs(num.kp - ana.kp)) < 1e-8
 
 
 class TestImplicitForms:
