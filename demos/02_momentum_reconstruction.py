@@ -2,8 +2,9 @@
 
 A unit-speed curve on the sphere is fixed, up to rotation about the z-axis,
 by its angular momentum as a function of latitude.  The reconstruction runs
-two quadratures: arc length s(z) = int dz / sqrt(1 - z^2 - K^2), inverted to
-z(s), then longitude lambda(s) = int K / (z^2 - 1) ds.
+one quadrature, arc length s(z) = int dz / sqrt(1 - z^2 - K^2), inverted to
+z(s); the longitude lambda(s) = int K / (z^2 - 1) ds is elementary for every
+family and taken in closed form.
 """
 
 import numpy as np

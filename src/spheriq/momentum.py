@@ -1,14 +1,14 @@
-"""Angular-momentum profiles K(z) and curve reconstruction by quadratures.
+"""Angular-momentum profiles K(z) and curve reconstruction.
 
 A profile determines a unit-speed spherical curve, up to rotation about the
 z-axis, through two integrals: the arc length s(z) = int dz / sqrt(g) with
 g(z) = 1 - z^2 - K(z)^2, inverted to z(s), and the longitude
-lambda(s) = int K(z(s)) / (z(s)^2 - 1) ds.  For every family g times the
+lambda(z) = int K dz / ((z^2 - 1) sqrt(g)).  For every family g times the
 profile's denominator is a quadratic in t = z^2, so the turning latitudes
-(the zeros of g) are known in closed form.  The integrand 1/sqrt(g) has an
-integrable square-root singularity at each of them; substituting
-z = m + r sin(u) over a feasible interval removes it entirely, leaving
-smooth integrands in u that are handled by fixed Gauss panels.
+(the zeros of g) and the longitude are known in closed form.  The arc length
+(elliptic for quadrics) has an integrable square-root singularity at each
+turning point; z = m + r sin(u) removes it, leaving a smooth integrand in u
+that is handled by fixed Gauss panels.
 """
 
 from __future__ import annotations
@@ -63,15 +63,17 @@ class MomentumProfile:
         k = self.value(z)
         return 1.0 - np.asarray(z) ** 2 - k * k
 
-    def g_prime(self, z):
-        return -2.0 * np.asarray(z) - 2.0 * self.value(z) * self.derivative(z)
-
     def h_factor(self, z, z_lo: float, z_hi: float):
         """g / ((z - z_lo)(z_hi - z)) over a feasible interval (z_lo, z_hi).
 
         Each family divides the quadratic in z^2 by its turning-point factors
         algebraically, so the quotient is free of cancellation.
         """
+        raise NotImplementedError
+
+    def longitude(self, z, z_lo: float, d_lo, root_g):
+        """Antiderivative G of K / ((z^2 - 1) sqrt(g)), given d_lo = z - z_lo and
+        root_g = sqrt(g(z)) free of cancellation near the turning points."""
         raise NotImplementedError
 
 
@@ -98,6 +100,9 @@ class ConstantMomentum(MomentumProfile):
         # g = (1 - k^2) - z^2 factors exactly over (-z*, z*)
         return np.ones_like(np.asarray(z, dtype=float))
 
+    def longitude(self, z, z_lo, d_lo, root_g):
+        return -np.arctan2(self.k * z, root_g)
+
 
 @dataclass(frozen=True)
 class LinearMomentum(MomentumProfile):
@@ -118,29 +123,30 @@ class LinearMomentum(MomentumProfile):
         # g = 1 - (1 + k0^2) z^2
         return np.full_like(np.asarray(z, dtype=float), 1.0 + self.k0 * self.k0)
 
+    def longitude(self, z, z_lo, d_lo, root_g):
+        # the minus form keeps G = -0.0 everywhere at k0 = 0
+        return -np.arctan2(self.k0, root_g)
+
 
 @dataclass(frozen=True)
 class QuadricMomentum(MomentumProfile):
-    """K = sign * z / sqrt(mu + c z^2), defined where mu + c z^2 > 0."""
+    """K = z / sqrt(mu + c z^2), defined where mu + c z^2 > 0."""
 
     mu: float
     c: float
-    sign: int = 1
 
     def __post_init__(self):
         if self.mu == 0.0:
             raise BadParameter("mu = 0 degenerates to a constant profile")
-        if self.sign not in (-1, 1):
-            raise BadParameter(f"sign must be +/-1, got {self.sign}")
 
     def _den(self, z):
         return self.mu + self.c * np.asarray(z, dtype=float) ** 2
 
     def value(self, z):
-        return self.sign * np.asarray(z, dtype=float) / np.sqrt(self._den(z))
+        return np.asarray(z, dtype=float) / np.sqrt(self._den(z))
 
     def derivative(self, z):
-        return self.sign * self.mu / np.sqrt(self._den(z) ** 3)
+        return self.mu / np.sqrt(self._den(z) ** 3)
 
     def turning_points(self):
         # g (mu + c t) = q(t) = -c t^2 + (c - mu - 1) t + mu with q(0) = mu and
@@ -170,6 +176,15 @@ class QuadricMomentum(MomentumProfile):
             return self.c * (z + z_lo) * (z + z_hi) / den
         zs2 = z_hi * z_hi  # symmetric band; the other quartic root pairs off
         return (self.c * z * z + self.mu / zs2) / den
+
+    def longitude(self, z, z_lo, d_lo, root_g):
+        # in t = z^2 the integrand is dt / (2 (t - 1) sqrt(q)), q = g (mu + c t),
+        # and G = atan2(y, 2 sqrt(q)) / 2 with y = b (t - 1) - 2.  As
+        # y^2 + 4 q = disc (t - 1)^2 amplifies rounding in y by 1/sqrt(disc),
+        # y is taken from the band end: t - z_lo^2 = d_lo (z + z_lo)
+        b = -(self.mu + self.c + 1.0)
+        y = b * (z_lo * z_lo - 1.0) - 2.0 + b * d_lo * (z + z_lo)
+        return 0.5 * np.arctan2(y, 2.0 * root_g * np.sqrt(self._den(z)))
 
 
 @dataclass(frozen=True)
@@ -213,6 +228,15 @@ class SpheroCylindricalMomentum(MomentumProfile):
         t2 = z_hi * z_hi
         return (z * z + 4.0 * self.a * self.a / t2) / self._w(z)
 
+    def longitude(self, z, z_lo, d_lo, root_g):
+        # in t = z^2 the integrand is (t - 2) dt / (2 (t - 1) sqrt(Q)) with
+        # Q = g W = 4 a^2 (1 - t) - t^2; split off dt / (2 sqrt(Q))
+        t, a2 = z * z, self.a * self.a
+        root_q = root_g * np.sqrt(self._w(z))
+        return 0.5 * np.arctan2(t + 2.0 * a2, root_q) - 0.5 * np.arctan2(
+            -(2.0 + 4.0 * a2) * (t - 1.0) - 2.0, 2.0 * root_q
+        )
+
 
 # ---------------------------------------------------------------------------
 # feasible intervals
@@ -253,6 +277,12 @@ def feasible_intervals(p: MomentumProfile) -> list[FeasibleInterval]:
 # ---------------------------------------------------------------------------
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
+_N_PANELS = 200
+
+
+def _panel(bounds, x):
+    """Index of the panel of `bounds` that holds each x."""
+    return np.clip(np.searchsorted(bounds, x, side="right") - 1, 0, len(bounds) - 2)
 
 
 class ReconstructionMap:
@@ -261,8 +291,9 @@ class ReconstructionMap:
     With both interval endpoints simple zeros of g, z = m + r sin(u) turns
     1/sqrt(g) into 1/sqrt(h) with h = g / ((z - z_lo)(z_hi - z)) smooth and
     positive on the closed interval, so cumulative Gauss panels in u give
-    machine-accurate s(u) and lambda(u); point queries invert s(u) with a
-    vectorized Newton iteration inside the bracketing panel.
+    machine-accurate s(u); point queries invert s(u) with a vectorized Newton
+    iteration inside the bracketing panel.  The longitude is the profile's
+    closed form at z - z_lo = r (1 + sin u) and sqrt(g) = r cos(u) sqrt(h).
     """
 
     def __init__(
@@ -270,7 +301,6 @@ class ReconstructionMap:
         profile: MomentumProfile,
         interval: FeasibleInterval,
         lambda0: float = 0.0,
-        n_panels: int = 200,
     ):
         self.profile = profile
         self.interval = interval
@@ -278,36 +308,36 @@ class ReconstructionMap:
         z_lo, z_hi = self._ends = interval.z_lo, interval.z_hi
         self._m = 0.5 * (z_lo + z_hi)
         self._r = 0.5 * (z_hi - z_lo)
-        gp_lo = float(profile.g_prime(z_lo))
-        gp_hi = float(profile.g_prime(z_hi))
-        if abs(gp_lo) < _DOUBLE_ZERO_TOL or abs(gp_hi) < _DOUBLE_ZERO_TOL:
+        # |g'| at the turning points is h times the interval width
+        slopes = profile.h_factor(np.array([z_lo, z_hi]), z_lo, z_hi) * interval.width
+        if np.min(np.abs(slopes)) < _DOUBLE_ZERO_TOL:
             raise QuadratureFailure(
                 "g has a higher-order zero at a turning point; "
                 "the sqrt substitution does not apply"
             )
-        # cumulative s and lambda at panel boundaries
-        self._u_bounds = np.linspace(-np.pi / 2, np.pi / 2, n_panels + 1)
+        # cumulative s at panel boundaries
+        self._u_bounds = np.linspace(-np.pi / 2, np.pi / 2, _N_PANELS + 1)
         half = 0.5 * (self._u_bounds[1] - self._u_bounds[0])
         mids = 0.5 * (self._u_bounds[:-1] + self._u_bounds[1:])
         nodes = mids[:, None] + half * _GL_X[None, :]
-        fs, flam = self._integrands(nodes)
+        fs = self._ds_du(nodes)
         self._s_bounds = np.concatenate([[0.0], np.cumsum(half * fs @ _GL_W)])
-        self._lam_bounds = np.concatenate([[0.0], np.cumsum(half * flam @ _GL_W)])
+        self._g_lo = self._longitude(-np.pi / 2)
 
     # -- chart pieces ------------------------------------------------------
 
     def z_of_u(self, u):
         return self._m + self._r * np.sin(u)
 
-    def _integrands(self, u):
-        """ds/du and dlambda/du on the chart."""
+    def _ds_du(self, u):
+        return 1.0 / np.sqrt(self.profile.h_factor(self.z_of_u(u), *self._ends))
+
+    def _longitude(self, u):
+        """The profile's antiderivative G at chart coordinate u."""
         z = self.z_of_u(u)
-        inv_sqrt_h = 1.0 / np.sqrt(self.profile.h_factor(z, *self._ends))
-        k = np.asarray(self.profile.value(z))
-        den = z * z - 1.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(k == 0.0, 0.0, k / np.where(den == 0.0, 1.0, den))
-        return inv_sqrt_h, ratio * inv_sqrt_h
+        root_h = np.sqrt(self.profile.h_factor(z, *self._ends))
+        root_g = self._r * np.abs(np.cos(u)) * root_h
+        return self.profile.longitude(z, self._ends[0], self._r * (1.0 + np.sin(u)), root_g)
 
     @property
     def branch_length(self) -> float:
@@ -315,14 +345,13 @@ class ReconstructionMap:
 
     @property
     def branch_lambda(self) -> float:
-        return float(self._lam_bounds[-1])
+        return float(self._longitude(np.pi / 2) - self._g_lo)
 
     def _partial(self, u_from, u_to):
-        """Gauss integrals of (ds/du, dlam/du) over per-sample subintervals."""
+        """Gauss integrals of ds/du over per-sample subintervals."""
         half = 0.5 * (u_to - u_from)
         nodes = 0.5 * (u_from + u_to)[..., None] + half[..., None] * _GL_X
-        fs, flam = self._integrands(nodes)
-        return half * (fs @ _GL_W), half * (flam @ _GL_W)
+        return half * (self._ds_du(nodes) @ _GL_W)
 
     def u_of_s(self, s):
         """Invert the strictly increasing s(u) for s in [0, branch_length]."""
@@ -330,34 +359,18 @@ class ReconstructionMap:
         if np.any(s < -1e-9) or np.any(s > self.branch_length + 1e-9):
             raise OutOfDomain("arc length outside the branch")
         s = np.clip(s, 0.0, self.branch_length)
-        j = np.clip(
-            np.searchsorted(self._s_bounds, s, side="right") - 1,
-            0,
-            len(self._s_bounds) - 2,
-        )
+        j = _panel(self._s_bounds, s)
         u0 = self._u_bounds[j]
         du = self._u_bounds[j + 1] - u0
         ds = self._s_bounds[j + 1] - self._s_bounds[j]
         u = u0 + du * (s - self._s_bounds[j]) / ds
         for _ in range(12):
-            part_s, _ = self._partial(u0, u)
-            resid = self._s_bounds[j] + part_s - s
+            resid = self._s_bounds[j] + self._partial(u0, u) - s
             step = resid * np.sqrt(self.profile.h_factor(self.z_of_u(u), *self._ends))
             u = np.clip(u - step, -np.pi / 2, np.pi / 2)
             if np.max(np.abs(step)) < 1e-14:
                 break
         return u
-
-    def _cumulative(self, u):
-        """(s, lambda-offset) at chart coordinate u: panel sums plus one partial."""
-        u = np.asarray(u, dtype=float)
-        j = np.clip(
-            np.searchsorted(self._u_bounds, u, side="right") - 1,
-            0,
-            len(self._u_bounds) - 2,
-        )
-        part_s, part_lam = self._partial(self._u_bounds[j], u)
-        return self._s_bounds[j] + part_s, self._lam_bounds[j] + part_lam
 
     def s_of_z(self, z):
         """Arc length from the lower turning point to latitude z (vectorized)."""
@@ -370,12 +383,13 @@ class ReconstructionMap:
         # the difference of the endpoint distances lands exactly on -+pi/2 at
         # the turning points, where (z - m) / r misses by about sqrt(eps) in u
         u = np.arcsin(np.clip(((z - z_lo) - (z_hi - z)) / width, -1.0, 1.0))
-        return self._cumulative(u)[0]
+        j = _panel(self._u_bounds, u)
+        return self._s_bounds[j] + self._partial(self._u_bounds[j], u)
 
     def state_of_s(self, s):
         """(z, lambda-offset) on the single monotone branch, s in [0, L]."""
         u = self.u_of_s(s)
-        return self.z_of_u(u), self._cumulative(u)[1]
+        return self.z_of_u(u), self._longitude(u) - self._g_lo
 
     # -- folded evaluation over any number of oscillations -----------------
 

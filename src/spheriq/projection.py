@@ -12,7 +12,7 @@ scale-free far from the origin.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     MissingParams,
 )
 from .sphere import WRITE_CHUNK_ROWS
-from .surfaces import RotationalSurface, SurfaceFamily, surface_point
+from .surfaces import RotationalSurface, surface_point
 
 POLE_EPS = 1e-9
 CULL_EPS = 1e-6
@@ -137,7 +137,6 @@ class Mesh:
 
     vertices: np.ndarray
     faces: np.ndarray
-    attributes: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
@@ -198,22 +197,6 @@ def mesh_from_surface(
         [np.stack([v00, v10, v11], axis=1), np.stack([v00, v11, v01], axis=1)]
     )
 
-    attributes: dict = {}
-    z_prof = surface.profile.point(s)[:, 2]
-    if surface.momentum_profile is not None:
-        prof = surface.momentum_profile
-        with np.errstate(divide="ignore", invalid="ignore"):
-            km = np.asarray(prof.derivative(z_prof))
-            kp = np.where(
-                np.abs(z_prof) > 1e-9, np.asarray(prof.value(z_prof)) / z_prof, np.nan
-            )
-        attributes["km"] = np.repeat(km, nt)
-        attributes["kp"] = np.repeat(kp, nt)
-    elif surface.family is SurfaceFamily.STANDARD_TORUS:
-        phi0 = surface.params["phi0"]
-        attributes["km"] = np.full(len(verts4), np.tan(phi0))
-        attributes["kp"] = np.full(len(verts4), -1.0 / np.tan(phi0))
-
     verts = verts4
     if project:
         keep = verts4[:, 3] < 1.0 - CULL_EPS
@@ -226,12 +209,11 @@ def mesh_from_surface(
             faces = faces[np.all(keep[faces], axis=1)]
             faces = remap[faces]
             verts4 = verts4[keep]
-            attributes = {k: v[keep] for k, v in attributes.items()}
         verts = stereo_s3(verts4)
 
     areas = _triangle_areas(verts, faces)
     faces = faces[areas >= 1e-14]
-    return Mesh(vertices=verts, faces=faces, attributes=attributes)
+    return Mesh(vertices=verts, faces=faces)
 
 
 def euler_characteristic(mesh: Mesh) -> int:

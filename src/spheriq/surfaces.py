@@ -162,11 +162,8 @@ def surface_point(surface: RotationalSurface, s, t) -> np.ndarray:
 class FundamentalForms:
     """Coefficients at each stencil centre; an arc-length profile has E = 1, F = M = 0."""
 
-    E: float
-    F: float
     G: np.ndarray
     L: np.ndarray
-    M: float
     N: np.ndarray
 
 
@@ -183,7 +180,7 @@ _D2_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
 
 def fundamental_forms(surface: RotationalSurface, s, h: float = 1e-3) -> FundamentalForms:
-    """Coefficients (E, F, G, L, M, N) at profile parameters s, broadcast over s.
+    """Coefficients (G, L, N) at profile parameters s, broadcast over s.
 
     One profile call evaluates every stencil node s + (-2..2) h.  The
     stencils are centred at s, so near the ends of an open profile they
@@ -201,17 +198,17 @@ def fundamental_forms(surface: RotationalSurface, s, h: float = 1e-3) -> Fundame
     z = p[..., 2]
     kappa = np.sum(p * np.cross(d1, d2), axis=-1)
     mom = d1[..., 0] * p[..., 1] - p[..., 0] * d1[..., 1]
-    return FundamentalForms(E=1.0, F=0.0, G=z * z, L=kappa, M=0.0, N=z * mom)
+    return FundamentalForms(G=z * z, L=kappa, N=z * mom)
 
 
 def principal_curvatures_numeric(
     surface: RotationalSurface, s, h: float = 1e-3
 ) -> PrincipalCurvatures:
-    """km = L/E, kp = N/G from finite-difference fundamental forms, broadcast over s."""
+    """km = L, kp = N/G from finite-difference fundamental forms, broadcast over s."""
     forms = fundamental_forms(surface, s, h)
     if np.any(np.abs(forms.G) < 1e-12):
         raise ZeroLatitude(f"profile latitude vanishes at s={s}")
-    return PrincipalCurvatures(km=forms.L / forms.E, kp=forms.N / forms.G)
+    return PrincipalCurvatures(km=forms.L, kp=forms.N / forms.G)
 
 
 def principal_curvatures_analytic(profile: MomentumProfile, z) -> PrincipalCurvatures:
@@ -387,12 +384,10 @@ def _quadric_interval(profile: QuadricMomentum, family: SurfaceFamily) -> Feasib
     return ivs[0]
 
 
-def make_quadric_surface(
-    mc: MomentumCoeffs, prolate: bool = False, sign: int = 1
-) -> RotationalSurface:
+def make_quadric_surface(mc: MomentumCoeffs, prolate: bool = False) -> RotationalSurface:
     """Rotational surface over the canonical conic for coefficients (mu, c)."""
     spec = make_quadric(mc, prolate=prolate)
-    profile = QuadricMomentum(mc.mu, mc.c, sign=sign)
+    profile = QuadricMomentum(mc.mu, mc.c)
     iv = _quadric_interval(profile, spec.family)
     # longitude origin placing the reconstructed loop on the canonical cylinder
     lambda0 = np.pi / 2 if spec.family is SurfaceFamily.QUADRIC_IIA else 0.0

@@ -121,6 +121,21 @@ class TestReconstruct:
         assert (tmp_path / "bands_0.csv").exists()
         assert (tmp_path / "bands_1.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--linear", "1e-3"],
+            ["--linear", "1e-4"],
+            ["--linear", "1e-6"],
+            ["--constant", "0.003"],
+            ["--quadric", "1e7", "0.3"],
+        ],
+    )
+    def test_near_pole(self, capsys, flags):
+        # the longitude turns by up to pi within ~1e-3 of the pole
+        code, rep = run_json(capsys, ["reconstruct", *flags])
+        assert code == 0
+
     def test_undefined_profile_exit_2(self, capsys):
         assert main(["reconstruct", "--quadric", "0", "0", "--json"]) == 2
 

@@ -3,7 +3,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from spheriq.conics import MomentumCoeffs
 from spheriq.errors import (
@@ -188,8 +188,6 @@ class TestArcFromZ:
 
     def test_quad_oracle(self, rng):
         # independent check: raw adaptive quadrature away from the endpoints
-        from scipy.integrate import quad
-
         p = QuadricMomentum(-1 / 12, 5 / 3)
         iv = [i for i in feasible_intervals(p) if i.z_lo > 0][0]
         rm = ReconstructionMap(p, iv)
@@ -203,20 +201,10 @@ class TestArcFromZ:
 
 
 class _DoubleZero(MomentumProfile):
-    # engineered g with a double zero at the upper endpoint
-    def value(self, z):
-        return np.zeros_like(np.asarray(z, dtype=float))
-
-    def derivative(self, z):
-        return np.zeros_like(np.asarray(z, dtype=float))
-
-    def g(self, z):
-        z = np.asarray(z, dtype=float)
-        return (0.5 - z) ** 2 * (z + 0.5)
-
-    def g_prime(self, z):
-        z = np.asarray(z, dtype=float)
-        return -2 * (0.5 - z) * (z + 0.5) + (0.5 - z) ** 2
+    # engineered g = (0.5 - z)^2 (z + 0.5) with a double zero at the upper
+    # endpoint: h = g / ((z + 0.5)(0.5 - z)) vanishes there
+    def h_factor(self, z, z_lo, z_hi):
+        return 0.5 - np.asarray(z, dtype=float)
 
 
 class TestTurningPointHandling:
@@ -328,6 +316,91 @@ class TestValidateReconstruction:
                 rep.z < iv.z_hi - 0.05 * width
             )
             assert np.max(rep.curvature_dev[interior]) < 5e-5
+
+
+def _quad_longitude(p, iv, u):
+    """lambda from the lower turning point to chart coordinate u by adaptive quad.
+
+    The integrand is K / ((z^2 - 1) sqrt(h)) in u, z = m + r sin(u), on pieces
+    graded towards both turning points, where it peaks for bands near a pole.
+    """
+    m, r = 0.5 * (iv.z_lo + iv.z_hi), 0.5 * iv.width
+
+    def f(v):
+        z = m + r * np.sin(v)
+        h = float(p.h_factor(z, iv.z_lo, iv.z_hi))
+        return float(p.value(z)) / ((z * z - 1.0) * np.sqrt(h))
+
+    d = np.pi / 2 - np.geomspace(1e-6, np.pi / 2, 16)
+    edges = np.unique(np.clip(np.concatenate([[-np.pi / 2], -d, d, [u]]), -np.pi / 2, u))
+    return sum(
+        quad(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+
+
+class TestClosedFormLongitude:
+    # bands that reach within 5e-6 of a pole, where lambda turns by up to pi
+    # in a sliver of the chart; there 1 - z^2, down to 1e-7, carries a
+    # relative rounding of up to ~1e-9, which bounds the quad reference itself
+    NEAR_POLE = [QuadricMomentum(1e7, 0.3), ConstantMomentum(0.003), LinearMomentum(1e-3)]
+    AWAY = [
+        QuadricMomentum(-1.5, 5.0),
+        QuadricMomentum(0.5, 0.5),
+        QuadricMomentum(2.0, -3.0),
+        ConstantMomentum(-0.5),
+        LinearMomentum(-2.0),
+        SpheroCylindricalMomentum(1.0),
+    ]
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_matches_quad_in_chart_variable(self):
+        for profiles, tol in ((self.AWAY, 1e-13), (self.NEAR_POLE, 5e-9)):
+            for p in profiles:
+                iv = feasible_intervals(p)[-1]
+                rm = ReconstructionMap(p, iv)
+                s = np.linspace(0.0, rm.branch_length, 5)
+                _, lam = rm.state_of_s(s)
+                ref = [_quad_longitude(p, iv, u) for u in rm.u_of_s(s)]
+                assert np.max(np.abs(lam - ref)) < tol, p
+                assert abs(rm.branch_lambda - ref[-1]) < tol, p
+
+    def test_chart_never_evaluates_k(self, monkeypatch):
+        # s and lambda both come from h and the closed forms; K itself is
+        # only for validation
+        calls = []
+        for cls in (QuadricMomentum, ConstantMomentum, LinearMomentum, SpheroCylindricalMomentum):
+            value = cls.value
+            monkeypatch.setattr(
+                cls, "value", lambda self, z, value=value: calls.append(1) or value(self, z)
+            )
+        profiles = [
+            QuadricMomentum(-1.5, 5.0),
+            ConstantMomentum(0.3),
+            LinearMomentum(0.7),
+            SpheroCylindricalMomentum(1.0),
+        ]
+        for p in profiles:
+            rm = ReconstructionMap(p, feasible_intervals(p)[-1])
+            rm.point(np.linspace(0.0, 3.0 * rm.branch_length, 50))
+        assert calls == []
+
+    def test_thin_band_longitude_smooth(self):
+        # on the type-I band of discriminant 1e-14 the longitude's quadratic
+        # form divides rounding by sqrt(disc); taken from the band end it
+        # stays smooth between samples
+        p = QuadricMomentum(-1.5, 2.5 + np.sqrt(6.0 + 1e-14))
+        for iv in feasible_intervals(p):
+            rm = ReconstructionMap(p, iv)
+            _, lam = rm.state_of_s(np.arange(0.0, rm.branch_length, 1e-3))
+            assert np.max(np.abs(np.diff(lam, 2))) <= 1e-12
+
+    def test_zero_momentum_longitude_exactly_zero(self):
+        for p in (ConstantMomentum(0.0), LinearMomentum(0.0)):
+            rm = ReconstructionMap(p, feasible_intervals(p)[0])
+            _, lam = rm.state_of_s(np.linspace(0.0, rm.branch_length, 101))
+            assert rm.branch_lambda == 0.0
+            assert np.all(lam == 0.0)
 
 
 class TestMonotoneInversion:

@@ -180,12 +180,6 @@ class TestMesh:
         areas = _triangle_areas(mesh.vertices, mesh.faces)
         assert np.min(areas) >= 1e-14
 
-    def test_curvature_attributes(self):
-        S = make_quadric_surface(MomentumCoeffs(-1 / 12, 5 / 3))
-        mesh = mesh_from_surface(S, ns=12, nt=12)
-        assert "km" in mesh.attributes and "kp" in mesh.attributes
-        assert len(mesh.attributes["km"]) == len(mesh.vertices)
-
 
 class TestObj:
     def test_empty_mesh(self, tmp_path):
