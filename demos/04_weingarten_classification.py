@@ -10,12 +10,13 @@ relation instead and are correctly rejected.
 import numpy as np
 
 from spheriq.conics import MomentumCoeffs
-from spheriq.momentum import QuadricMomentum, feasible_intervals
+from spheriq.momentum import QuadricMomentum, SpheroCylindricalMomentum, feasible_intervals
 from spheriq.surfaces import (
     SurfaceFamily,
     make_degenerate,
     make_fake_paraboloid,
     make_quadric_surface,
+    principal_curvatures_analytic,
 )
 from spheriq.weingarten import (
     NotCubic,
@@ -34,15 +35,18 @@ profile = QuadricMomentum(mu, c)
 iv = feasible_intervals(profile)[0]
 z = np.linspace(iv.z_lo + 0.01, iv.z_hi - 0.01, 101)
 z = z[np.abs(z) > 1e-6]
+curv = principal_curvatures_analytic(profile, z)
 print(f"cubic residual |K' - mu (K/z)^3| for (mu, c) = ({mu}, {c}): "
-      f"max {np.max(np.abs(cubic_residual(profile, mu, z))):.2e}")
+      f"max {np.max(np.abs(cubic_residual(curv, mu))):.2e}")
 
 a = 1.0
-t = 0.9 * np.sqrt(2 * (np.sqrt(2) - 1))
+sc_profile = SpheroCylindricalMomentum(a)
+t = 0.9 * feasible_intervals(sc_profile)[0].z_hi
 zz = np.linspace(-t, t, 101)
 zz = zz[np.abs(zz) > 1e-6]
+curv = principal_curvatures_analytic(sc_profile, zz)
 print(f"sextic residual for the a=1 sphero-cylindrical profile: "
-      f"max {np.max(np.abs(sextic_residual(a, zz))):.2e}")
+      f"max {np.max(np.abs(sextic_residual(curv, a))):.2e}")
 
 # ---------------------------------------------------------------------------
 # 2. solving (mu, c) back into cylinder semi-axes

@@ -64,6 +64,7 @@ from .surfaces import (
     chart_profile,
     make_fake_paraboloid,
     make_quadric_surface,
+    principal_curvatures_analytic,
     quadric_spec_to_json,
 )
 from .weingarten import (
@@ -223,38 +224,24 @@ def cmd_classify(args) -> dict:
 def cmd_verify(args) -> dict:
     rng = np.random.default_rng(_seed())
     report = _base_report("verify", args)
-    n = args.samples
-    if args.fake_paraboloid is not None:
-        prof = SpheroCylindricalMomentum(args.fake_paraboloid)
-        t = prof.turning_latitude()
-        z = rng.uniform(-0.99 * t, 0.99 * t, n)
-        z = z[np.abs(z) > 1e-6]
-        relation, res = "sextic", sextic_residual(args.fake_paraboloid, z)
-    elif args.quadric is not None:
-        mu, c = args.quadric
-        prof = QuadricMomentum(mu, c)
-        res = []
-        for iv in feasible_intervals(prof):
-            pad = 0.01 * iv.width
-            z = rng.uniform(iv.z_lo + pad, iv.z_hi - pad, n)
-            z = z[np.abs(z) > 1e-6]
-            res.append(cubic_residual(prof, mu, z))
-        relation, res = "cubic", np.concatenate(res)
-    elif args.constant is not None:
-        prof = ConstantMomentum(args.constant)
-        z = rng.uniform(-0.9, 0.9, n)
-        relation, res = "km=0", prof.derivative(z)
-    elif args.linear is not None:
-        prof = LinearMomentum(args.linear)
-        z = rng.uniform(-0.5, 0.5, n)
-        z = z[np.abs(z) > 1e-6]
-        km = np.asarray(prof.derivative(z))
-        kp = np.asarray(prof.value(z)) / z
-        relation, res = "km=kp", km - kp
-    else:
-        raise SpheriqError("nothing to verify")
-    if np.size(res) == 0:
+    profile = _profile_from_args(args)
+    # each feasible band, 1 % of its width in from both turning points
+    z = np.concatenate([
+        rng.uniform(iv.z_lo + 0.01 * iv.width, iv.z_hi - 0.01 * iv.width, args.samples)
+        for iv in feasible_intervals(profile)
+    ])
+    z = z[np.abs(z) > 1e-6]
+    if z.size == 0:
         raise TooFewSamples("every sampled latitude has |z| <= 1e-6")
+    curv = principal_curvatures_analytic(profile, z)
+    if isinstance(profile, QuadricMomentum):
+        relation, res = "cubic", cubic_residual(curv, profile.mu)
+    elif isinstance(profile, ConstantMomentum):
+        relation, res = "km=0", cubic_residual(curv, 0.0)
+    elif isinstance(profile, LinearMomentum):
+        relation, res = "km=kp", curv.km - curv.kp
+    else:
+        relation, res = "sextic", sextic_residual(curv, profile.a)
     report["relation"] = relation
     report["residual_max"] = float(np.max(np.abs(res)))
     report["tol"] = args.tol
@@ -352,13 +339,11 @@ def _add_conic_flags(sub):
     sub.add_argument("--vertical", nargs=2, type=_finite_float, metavar=("A", "B"))
 
 
-def _add_profile_flags(sub, conic_too=False):
+def _add_profile_flags(sub):
     sub.add_argument("--quadric", nargs=2, type=_finite_float, metavar=("MU", "C"))
     sub.add_argument("--constant", type=_finite_float, metavar="K")
     sub.add_argument("--linear", type=_finite_float, metavar="K0")
     sub.add_argument("--fake-paraboloid", type=_finite_float, metavar="A")
-    if conic_too:
-        _add_conic_flags(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:

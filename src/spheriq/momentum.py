@@ -218,10 +218,6 @@ class SpheroCylindricalMomentum(MomentumProfile):
         a = abs(self.a)
         return 0.0, 2.0 * a / (a + float(np.sqrt(a * a + 1.0)))
 
-    def turning_latitude(self) -> float:
-        """Positive root of z^4 + 4 a^2 z^2 - 4 a^2 (edge of the feasible band)."""
-        return float(np.sqrt(self.turning_points()[1]))
-
     def h_factor(self, z, z_lo, z_hi):
         # g W = 4 a^2 (1 - z^2) - z^4 = (t^2 - z^2)(z^2 + 4 a^2 / t^2)
         z = np.asarray(z, dtype=float)
@@ -417,12 +413,6 @@ class ReconstructionMap:
         z, lam = self.fold(s)
         phi = np.arcsin(np.clip(z, -1.0, 1.0))
         return geo_arrays_to_points(np.atleast_1d(lam), np.atleast_1d(phi))
-
-    def rising(self, s):
-        """True where the latitude is increasing at arc length s."""
-        s = np.asarray(s, dtype=float)
-        _, sr = np.divmod(s, 2.0 * self.branch_length)
-        return sr <= self.branch_length
 
 
 # ---------------------------------------------------------------------------

@@ -245,24 +245,3 @@ def write_obj(mesh: Mesh, path) -> None:
                 fh.writelines("f %d %d %d\n" % tuple(f) for f in rows)
     except OSError as exc:
         raise IOFailure(str(exc)) from exc
-
-
-def read_obj(path) -> Mesh:
-    """Read back a v/f OBJ written by write_obj (test helper)."""
-    verts, faces = [], []
-    try:
-        with open(path) as fh:
-            for line in fh:
-                parts = line.split()
-                if not parts:
-                    continue
-                if parts[0] == "v":
-                    verts.append([float(x) for x in parts[1:4]])
-                elif parts[0] == "f":
-                    faces.append([int(x) - 1 for x in parts[1:4]])
-    except OSError as exc:
-        raise IOFailure(str(exc)) from exc
-    return Mesh(
-        vertices=np.array(verts, dtype=float).reshape(-1, 3),
-        faces=np.array(faces, dtype=int).reshape(-1, 3),
-    )

@@ -15,7 +15,6 @@ over point arrays.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,8 +22,6 @@ import numpy as np
 from .errors import DegenerateInput, IOFailure, TooFewSamples
 
 UNIT_TOL = 1e-12
-
-Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 def check_unit(p: np.ndarray, tol: float = UNIT_TOL) -> None:
@@ -68,19 +65,8 @@ class GeoCoord:
             raise DegenerateInput(f"latitude {bad[0]} outside [-pi/2, pi/2]")
 
 
-def geo_to_cartesian(g: GeoCoord) -> np.ndarray:
-    """(lam, phi) -> (cos phi cos lam, cos phi sin lam, sin phi)."""
-    return np.array(
-        [
-            np.cos(g.phi) * np.cos(g.lam),
-            np.cos(g.phi) * np.sin(g.lam),
-            np.sin(g.phi),
-        ]
-    )
-
-
 def cartesian_to_geo(p: np.ndarray) -> GeoCoord:
-    """Inverse of geo_to_cartesian, broadcast over leading axes.
+    """Inverse of geo_arrays_to_points, broadcast over leading axes.
 
     Longitude -pi folds to pi and the longitude of a pole is reported as 0.
     One point of shape (3,) gives float fields, an (..., 3) array gives
@@ -289,25 +275,6 @@ def resample_by_arclength(points: np.ndarray, target_step: float) -> SampledCurv
     return SampledCurve(s=s_new, points=new_pts)
 
 
-def align_z_rotation(source: np.ndarray, target: np.ndarray) -> float:
-    """Angle of the z-rotation that best maps source points onto target."""
-    sx, sy = source[:, 0], source[:, 1]
-    tx, ty = target[:, 0], target[:, 1]
-    num = float(np.sum(sx * ty - sy * tx))
-    den = float(np.sum(sx * tx + sy * ty))
-    return float(np.arctan2(num, den))
-
-
-def rotate_z(points: np.ndarray, angle: float) -> np.ndarray:
-    """Rotate points about the z-axis."""
-    c, s = np.cos(angle), np.sin(angle)
-    out = np.array(points, dtype=float, copy=True)
-    x, y = out[..., 0].copy(), out[..., 1].copy()
-    out[..., 0] = c * x - s * y
-    out[..., 1] = s * x + c * y
-    return out
-
-
 # ---------------------------------------------------------------------------
 # closed-form circles
 # ---------------------------------------------------------------------------
@@ -367,21 +334,3 @@ def write_curve_csv(curve: SampledCurve, path) -> None:
                 fh.writelines(row % r for r in chunk)
     except OSError as exc:
         raise IOFailure(str(exc)) from exc
-
-
-def read_curve_csv(path) -> SampledCurve:
-    """Read a curve written by write_curve_csv."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != CSV_HEADER:
-                raise IOFailure(f"unexpected header {header}")
-            rows = list(reader)
-    except OSError as exc:
-        raise IOFailure(str(exc)) from exc
-    s = np.array([float(r[0]) for r in rows])
-    pts = np.array([[float(r[1]), float(r[2]), float(r[3])] for r in rows])
-    kappa = np.array([float(r[4]) for r in rows]) if rows and rows[0][4] != "" else None
-    momentum = np.array([float(r[5]) for r in rows]) if rows and rows[0][5] != "" else None
-    return SampledCurve(s=s, points=pts, kappa=kappa, momentum=momentum)

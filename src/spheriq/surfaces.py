@@ -115,14 +115,6 @@ def chart_profile(chart: ReconstructionMap) -> Profile:
     return Profile(chart.point, 2.0 * chart.branch_length, closed=False)
 
 
-def fake_paraboloid_x(a: float, z) -> np.ndarray:
-    """|x| on the curve x^2 + (y + a)^2 = 1 + a^2 at latitude z."""
-    z = np.asarray(z, dtype=float)
-    a2 = a * a
-    rad = 4.0 * a2 - 4.0 * a2 * z * z - z ** 4
-    return np.sqrt(np.clip(rad, 0.0, None)) / (2.0 * abs(a))
-
-
 @dataclass(frozen=True)
 class RotationalSurface:
     """Surface of revolution in S^3 with an optional analytic momentum."""
@@ -484,25 +476,19 @@ def quadric_spec_to_json(spec: QuadricSpec) -> dict:
 def make_fake_paraboloid(a: float) -> RotationalSurface:
     """Surface x3^2 + x4^2 = 2 a x2 over the sphero-cylindrical loop.
 
-    The chart supplies arc length -> latitude; x and y then come from the
-    closed form x^2 = (4a^2 - 4a^2 z^2 - z^4) / (4a^2), y = z^2 / (2a),
-    with the x-branch sign flipping at each turning point.
+    The chart starts at the lower turning point, where x = 0 and
+    y = z^2 / (2a) has the sign of a; the loop closes after both branches,
+    since the symmetric band gives branch_lambda = 0.
     """
     if a == 0.0:
         raise BadParameter("fake paraboloid needs a != 0")
     profile = SpheroCylindricalMomentum(a)
-    iv = feasible_intervals(profile)[0]
-    chart = ReconstructionMap(profile, iv)
-
-    def point(s) -> np.ndarray:
-        z, _ = chart.fold(s)
-        sign = np.where(chart.rising(s), 1.0, -1.0)
-        x = sign * fake_paraboloid_x(a, z)
-        return np.stack([x, z * z / (2.0 * a), np.asarray(z, dtype=float)], axis=-1)
-
+    chart = ReconstructionMap(
+        profile, feasible_intervals(profile)[0], lambda0=np.copysign(np.pi / 2, a)
+    )
     return RotationalSurface(
         family=SurfaceFamily.FAKE_PARABOLOID,
-        profile=Profile(point, 2.0 * chart.branch_length),
+        profile=Profile(chart.point, 2.0 * chart.branch_length),
         momentum_profile=profile,
         params={"a": a},
     )

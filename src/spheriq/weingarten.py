@@ -22,9 +22,7 @@ from .errors import (
     IllConditioned,
     OutOfRegion,
     TooFewSamples,
-    ZeroLatitude,
 )
-from .momentum import MomentumProfile, SpheroCylindricalMomentum
 from .surfaces import (
     PrincipalCurvatures,
     QuadricSpec,
@@ -40,27 +38,15 @@ from .surfaces import (
 # ---------------------------------------------------------------------------
 
 
-def cubic_residual(p: MomentumProfile, mu: float, z) -> float | np.ndarray:
-    """K'(z) - mu (K(z)/z)^3, identically zero on the cubic families."""
-    z = np.asarray(z, dtype=float)
-    if np.any(np.abs(z) < 1e-12):
-        raise ZeroLatitude("cubic residual needs z != 0")
-    res = np.asarray(p.derivative(z)) - mu * (np.asarray(p.value(z)) / z) ** 3
-    return float(res) if res.ndim == 0 else res
+def cubic_residual(curv: PrincipalCurvatures, mu: float) -> float | np.ndarray:
+    """km - mu kp^3, identically zero on the cubic families."""
+    return curv.km - mu * curv.kp ** 3
 
 
-def sextic_residual(a: float, z) -> float | np.ndarray:
+def sextic_residual(curv: PrincipalCurvatures, a: float) -> float | np.ndarray:
     """LHS - RHS of (km - 2 kp^3 - 3 kp)^2 = 4 (1 + kp^2)^3 / (1 + a^2)."""
-    z = np.asarray(z, dtype=float)
-    if np.any(np.abs(z) < 1e-12):
-        raise ZeroLatitude("sextic residual needs z != 0")
-    profile = SpheroCylindricalMomentum(a)
-    km = np.asarray(profile.derivative(z))
-    kp = np.asarray(profile.value(z)) / z
-    lhs = (km - 2.0 * kp ** 3 - 3.0 * kp) ** 2
-    rhs = 4.0 / (1.0 + a * a) * (1.0 + kp * kp) ** 3
-    res = lhs - rhs
-    return float(res) if res.ndim == 0 else res
+    km, kp = curv.km, curv.kp
+    return (km - 2.0 * kp ** 3 - 3.0 * kp) ** 2 - 4.0 / (1.0 + a * a) * (1.0 + kp * kp) ** 3
 
 
 class MuFit(NamedTuple):
@@ -75,14 +61,14 @@ def fit_mu(curv: PrincipalCurvatures) -> MuFit:
     |kp| <= 1e-6 are discarded.
     """
     usable = np.abs(curv.kp) > 1e-6
-    km, kp = curv.km[usable], curv.kp[usable]
-    if len(km) < 3:
+    curv = PrincipalCurvatures(km=curv.km[usable], kp=curv.kp[usable])
+    if len(curv.km) < 3:
         raise TooFewSamples("fit needs >= 3 samples with |kp| > 1e-6")
-    kp3 = kp ** 3
-    if np.ptp(kp3) < 1e-9 * max(1.0, np.max(np.abs(kp3))) and np.ptp(km) > 1e-6:
+    kp3 = curv.kp ** 3
+    if np.ptp(kp3) < 1e-9 * max(1.0, np.max(np.abs(kp3))) and np.ptp(curv.km) > 1e-6:
         raise IllConditioned("kp^3 nearly constant while km varies")
-    mu = float(np.dot(km, kp3) / np.dot(kp3, kp3))
-    return MuFit(mu=mu, max_residual=float(np.max(np.abs(km - mu * kp3))))
+    mu = float(np.dot(curv.km, kp3) / np.dot(kp3, kp3))
+    return MuFit(mu=mu, max_residual=float(np.max(np.abs(cubic_residual(curv, mu)))))
 
 
 # ---------------------------------------------------------------------------
@@ -219,29 +205,6 @@ def classify_rotational_surface(surface) -> CubicSolveResult | NotCubic:
         case=result.case, mu=fit.mu, c=c_hat, spec=result.spec,
         residual_max=float(max(fit.max_residual, imp)),
     )
-
-
-# ---------------------------------------------------------------------------
-# geographic-form differentials (compatibility of the two dlambda/dphi)
-# ---------------------------------------------------------------------------
-
-
-def dlambda_dphi_momentum(mu: float, c: float, phi) -> np.ndarray:
-    """|dlambda/dphi| of the quadric profile in geographic coordinates."""
-    phi = np.asarray(phi, dtype=float)
-    sp2 = np.sin(phi) ** 2
-    rad = np.cos(phi) ** 2 * (mu + c * sp2) - sp2
-    return np.abs(np.tan(phi)) / np.sqrt(rad)
-
-
-def dlambda_dphi_cylinder(c_len: float, d_len: float, phi) -> np.ndarray:
-    """|dlambda/dphi| of the horizontal-cylinder conic at latitude phi."""
-    phi = np.asarray(phi, dtype=float)
-    sp2 = np.sin(phi) ** 2
-    c2, d2 = c_len * c_len, d_len * d_len
-    rad1 = d2 - sp2
-    rad2 = c2 * sp2 + d2 * np.cos(phi) ** 2 - c2 * d2
-    return c_len * np.abs(1.0 - d2) * np.abs(np.tan(phi)) / np.sqrt(rad1 * rad2)
 
 
 # ---------------------------------------------------------------------------

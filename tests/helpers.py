@@ -1,0 +1,86 @@
+"""Functions only the tests use: file readers, z-rotation alignment and the
+two geographic-form differentials dlambda/dphi of a quadric profile."""
+
+import csv
+
+import numpy as np
+
+from spheriq.errors import IOFailure
+from spheriq.projection import Mesh
+from spheriq.sphere import CSV_HEADER, SampledCurve
+
+
+def read_curve_csv(path) -> SampledCurve:
+    """Read a curve written by write_curve_csv."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader)
+            if header != CSV_HEADER:
+                raise IOFailure(f"unexpected header {header}")
+            rows = list(reader)
+    except OSError as exc:
+        raise IOFailure(str(exc)) from exc
+    s = np.array([float(r[0]) for r in rows])
+    pts = np.array([[float(r[1]), float(r[2]), float(r[3])] for r in rows])
+    kappa = np.array([float(r[4]) for r in rows]) if rows and rows[0][4] != "" else None
+    momentum = np.array([float(r[5]) for r in rows]) if rows and rows[0][5] != "" else None
+    return SampledCurve(s=s, points=pts, kappa=kappa, momentum=momentum)
+
+
+def read_obj(path) -> Mesh:
+    """Read back a v/f OBJ written by write_obj."""
+    verts, faces = [], []
+    try:
+        with open(path) as fh:
+            for line in fh:
+                parts = line.split()
+                if not parts:
+                    continue
+                if parts[0] == "v":
+                    verts.append([float(x) for x in parts[1:4]])
+                elif parts[0] == "f":
+                    faces.append([int(x) - 1 for x in parts[1:4]])
+    except OSError as exc:
+        raise IOFailure(str(exc)) from exc
+    return Mesh(
+        vertices=np.array(verts, dtype=float).reshape(-1, 3),
+        faces=np.array(faces, dtype=int).reshape(-1, 3),
+    )
+
+
+def align_z_rotation(source: np.ndarray, target: np.ndarray) -> float:
+    """Angle of the z-rotation that best maps source points onto target."""
+    sx, sy = source[:, 0], source[:, 1]
+    tx, ty = target[:, 0], target[:, 1]
+    num = float(np.sum(sx * ty - sy * tx))
+    den = float(np.sum(sx * tx + sy * ty))
+    return float(np.arctan2(num, den))
+
+
+def rotate_z(points: np.ndarray, angle: float) -> np.ndarray:
+    """Rotate points about the z-axis."""
+    c, s = np.cos(angle), np.sin(angle)
+    out = np.array(points, dtype=float, copy=True)
+    x, y = out[..., 0].copy(), out[..., 1].copy()
+    out[..., 0] = c * x - s * y
+    out[..., 1] = s * x + c * y
+    return out
+
+
+def dlambda_dphi_momentum(mu: float, c: float, phi) -> np.ndarray:
+    """|dlambda/dphi| of the quadric profile in geographic coordinates."""
+    phi = np.asarray(phi, dtype=float)
+    sp2 = np.sin(phi) ** 2
+    rad = np.cos(phi) ** 2 * (mu + c * sp2) - sp2
+    return np.abs(np.tan(phi)) / np.sqrt(rad)
+
+
+def dlambda_dphi_cylinder(c_len: float, d_len: float, phi) -> np.ndarray:
+    """|dlambda/dphi| of the horizontal-cylinder conic at latitude phi."""
+    phi = np.asarray(phi, dtype=float)
+    sp2 = np.sin(phi) ** 2
+    c2, d2 = c_len * c_len, d_len * d_len
+    rad1 = d2 - sp2
+    rad2 = c2 * sp2 + d2 * np.cos(phi) ** 2 - c2 * d2
+    return c_len * np.abs(1.0 - d2) * np.abs(np.tan(phi)) / np.sqrt(rad1 * rad2)

@@ -26,6 +26,7 @@ from spheriq.conics import (
 from spheriq.momentum import (
     ConstantMomentum,
     QuadricMomentum,
+    SpheroCylindricalMomentum,
     feasible_intervals,
     reconstruct,
 )
@@ -37,18 +38,14 @@ from spheriq.projection import (
     spiric_residual,
     stereo_s2,
 )
-from spheriq.sphere import (
-    align_z_rotation,
-    cartesian_to_geo,
-    geodesic_distance,
-    rotate_z,
-)
+from spheriq.sphere import cartesian_to_geo, geodesic_distance
 from spheriq.surfaces import (
     SurfaceFamily,
     make_degenerate,
     make_fake_paraboloid,
     make_quadric,
     make_quadric_surface,
+    principal_curvatures_analytic,
     principal_curvatures_numeric,
     surface_point,
 )
@@ -60,6 +57,8 @@ from spheriq.weingarten import (
     cubic_residual,
     sextic_residual,
 )
+
+from helpers import align_z_rotation, rotate_z
 
 
 def report(number: int, name: str, passed: bool, detail: str = ""):
@@ -121,9 +120,8 @@ def test_03_cubic_weingarten_identity(rng):
                     iv.z_lo + 0.01 * iv.width, iv.z_hi - 0.01 * iv.width, 40
                 )
                 z = z[np.abs(z) > 1e-6]
-                worst_analytic = max(
-                    worst_analytic, np.max(np.abs(cubic_residual(prof, mu, z)))
-                )
+                curv = principal_curvatures_analytic(prof, z)
+                worst_analytic = max(worst_analytic, np.max(np.abs(cubic_residual(curv, mu))))
     for region in ("I", "II", "III"):
         for _ in range(6):
             mu, c = draw_region(rng, region)
@@ -146,13 +144,13 @@ def test_03_cubic_weingarten_identity(rng):
 
 def test_04_sextic_identity():
     worst = 0.0
-    from spheriq.momentum import SpheroCylindricalMomentum
-
     for a in (0.5, 1.0, 2.0):
-        t = SpheroCylindricalMomentum(a).turning_latitude()
+        prof = SpheroCylindricalMomentum(a)
+        t = feasible_intervals(prof)[0].z_hi
         z = np.linspace(-0.999 * t, 0.999 * t, 1001)
         z = z[np.abs(z) > 1e-9]
-        worst = max(worst, np.max(np.abs(sextic_residual(a, z))))
+        curv = principal_curvatures_analytic(prof, z)
+        worst = max(worst, np.max(np.abs(sextic_residual(curv, a))))
     report(4, "sextic identity", worst < 1e-10, f"max residual {worst:.2e}")
 
 

@@ -189,6 +189,18 @@ class TestVerifyCommand:
         assert rep["relation"] == "cubic"
         assert rep["residual_max"] < 1e-12
 
+    def test_constant_km_zero(self, capsys):
+        code, rep = run_json(capsys, ["verify", "--constant", "-0.5"])
+        assert code == 0
+        assert rep["relation"] == "km=0"
+        assert rep["residual_max"] == 0.0
+
+    def test_linear_km_kp(self, capsys):
+        code, rep = run_json(capsys, ["verify", "--linear", "0.7"])
+        assert code == 0
+        assert rep["relation"] == "km=kp"
+        assert rep["passed"] is True
+
 
 class TestProjectCommand:
     def test_quadric_cyclide(self, tmp_path, capsys):
@@ -346,6 +358,35 @@ class TestImports:
                     if a.name.startswith("_") and not a.name.startswith("__")
                 ]
                 assert not private, f"{path.name}:{node.lineno}: imports private {private}"
+
+
+    def test_no_test_only_library_names(self):
+        # each public top-level name is used by the library itself or by a demo;
+        # what only the tests use lives in tests/helpers.py
+        pkg = Path(spheriq.__file__).parent
+        public, used = set(), set()
+        for path in sorted(pkg.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                public.update((path.stem, n) for n in names if not n.startswith("_"))
+            # a load, not an assignment target, is a reference
+            used.update(
+                node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            )
+        for demo in DEMOS:
+            for node in ast.walk(ast.parse(demo.read_text())):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("spheriq"):
+                    used.update(a.name for a in node.names)
+        unused = sorted(f"{mod}.{name}" for mod, name in public if name not in used)
+        assert not unused, f"public names only the tests use: {unused}"
 
 
 class TestDemos:

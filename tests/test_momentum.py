@@ -25,13 +25,10 @@ from spheriq.momentum import (
     reconstruct,
     validate_reconstruction,
 )
-from spheriq.sphere import (
-    align_z_rotation,
-    geodesic_distance,
-    momentum_from_samples,
-    rotate_z,
-)
+from spheriq.sphere import geodesic_distance, momentum_from_samples
 from spheriq.surfaces import make_quadric_surface
+
+from helpers import align_z_rotation, rotate_z
 
 
 class TestProfiles:

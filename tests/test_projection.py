@@ -10,7 +10,6 @@ from spheriq.projection import (
     cyclide_residual,
     euler_characteristic,
     mesh_from_surface,
-    read_obj,
     spiric_coeffs,
     spiric_residual,
     stereo_s2,
@@ -25,6 +24,8 @@ from spheriq.surfaces import (
     make_quadric,
     make_quadric_surface,
 )
+
+from helpers import read_obj
 
 
 class TestStereo:

@@ -14,7 +14,6 @@ from spheriq.momentum import (
 from spheriq.sphere import SampledCurve, momentum_from_samples
 from spheriq.surfaces import (
     SurfaceFamily,
-    fake_paraboloid_x,
     fundamental_forms,
     implicit_residuals,
     make_degenerate,
@@ -338,8 +337,18 @@ class TestDegenerateConstructors:
 
 class TestFakeParaboloid:
     def test_axis_points(self):
-        # at t = 0 the loop crosses the axis at (+-x(0), 0, 0) with x(0) = 1
-        assert_allclose(fake_paraboloid_x(1.0, 0.0), 1.0, atol=1e-15)
+        # a quarter of the loop past the lower turning point it crosses the
+        # equator at (+-1, 0, 0), where x^2 + (y + a)^2 = 1 + a^2 gives x^2 = 1
+        S = make_fake_paraboloid(1.0)
+        p = S.profile.point(S.profile.length / 4)[0]
+        assert_allclose(np.abs(p), [1.0, 0.0, 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("a", [0.3, 0.5, 2.0])
+    def test_start_on_surface(self, a):
+        # the loop starts at the lower turning point, where x = 0 exactly
+        x, y, z = make_fake_paraboloid(a).profile.point(0.0)[0]
+        assert abs(x) <= 1e-14
+        assert_allclose(y, z * z / (2 * a), rtol=1e-15, atol=1e-15)
 
     def test_profile_on_circle(self):
         S = make_fake_paraboloid(1.0)

@@ -16,6 +16,7 @@ from spheriq.momentum import (
     LinearMomentum,
     QuadricMomentum,
     ReconstructionMap,
+    SpheroCylindricalMomentum,
     feasible_intervals,
 )
 from spheriq.surfaces import (
@@ -24,6 +25,7 @@ from spheriq.surfaces import (
     make_degenerate,
     make_fake_paraboloid,
     make_quadric_surface,
+    principal_curvatures_analytic,
     principal_curvatures_numeric,
 )
 from spheriq.weingarten import (
@@ -32,13 +34,13 @@ from spheriq.weingarten import (
     SolveCase,
     classify_rotational_surface,
     cubic_residual,
-    dlambda_dphi_cylinder,
-    dlambda_dphi_momentum,
     fit_mu,
     sextic_residual,
     solve_cubic_weingarten,
     solve_report,
 )
+
+from helpers import dlambda_dphi_cylinder, dlambda_dphi_momentum
 
 
 def sample_type_i(rng):
@@ -55,7 +57,8 @@ class TestCubicResidual:
         prof = QuadricMomentum(mu, c)
         iv = [i for i in feasible_intervals(prof) if i.z_lo > 0][0]
         z = rng.uniform(iv.z_lo + 0.01, iv.z_hi - 0.01, 200)
-        assert np.max(np.abs(cubic_residual(prof, mu, z))) < 1e-12
+        curv = principal_curvatures_analytic(prof, z)
+        assert np.max(np.abs(cubic_residual(curv, mu))) < 1e-12
 
     def test_linear_profile(self):
         delta = 1.0
@@ -63,17 +66,20 @@ class TestCubicResidual:
         mu = 1.0 / np.sinh(delta) ** 2
         z = np.linspace(-0.5, 0.5, 21)
         z = z[np.abs(z) > 1e-3]
-        assert np.max(np.abs(cubic_residual(prof, mu, z))) < 1e-14
+        curv = principal_curvatures_analytic(prof, z)
+        assert np.max(np.abs(cubic_residual(curv, mu))) < 1e-14
 
     def test_constant_profile_mu_zero(self):
         prof = ConstantMomentum(-0.4)
         z = np.linspace(-0.8, 0.8, 17)
         z = z[np.abs(z) > 1e-3]
-        assert np.max(np.abs(cubic_residual(prof, 0.0, z))) == 0.0
+        curv = principal_curvatures_analytic(prof, z)
+        assert np.max(np.abs(cubic_residual(curv, 0.0))) == 0.0
 
     def test_zero_latitude(self):
+        # K(0) = 0.3 != 0: kp = K/z diverges on the axis
         with pytest.raises(ZeroLatitude):
-            cubic_residual(ConstantMomentum(0.3), 0.0, 0.0)
+            cubic_residual(principal_curvatures_analytic(ConstantMomentum(0.3), 0.0), 0.0)
 
     def test_ode_identity(self, rng):
         # K'(z) z^3 - mu K(z)^3 = 0 on the domain, all regions
@@ -229,25 +235,24 @@ class TestSolve:
 
 
 class TestSextic:
+    @staticmethod
+    def residual(a, z):
+        return sextic_residual(principal_curvatures_analytic(SpheroCylindricalMomentum(a), z), a)
+
     def test_spot_zero(self):
-        assert abs(sextic_residual(1.0, 0.5)) < 1e-10
-        assert abs(sextic_residual(2.0, -0.3)) < 1e-10
+        assert abs(self.residual(1.0, 0.5)) < 1e-10
+        assert abs(self.residual(2.0, -0.3)) < 1e-10
 
     def test_sensitivity(self):
         # perturbing km by 0.01 must leave a visible residual
-        from spheriq.momentum import SpheroCylindricalMomentum
-
-        a, z = 1.0, 0.5
-        prof = SpheroCylindricalMomentum(a)
-        km = float(prof.derivative(z)) + 0.01
-        kp = float(prof.value(z)) / z
-        lhs = (km - 2 * kp**3 - 3 * kp) ** 2
-        rhs = 4 / (1 + a * a) * (1 + kp * kp) ** 3
-        assert abs(lhs - rhs) >= 1e-3
+        a = 1.0
+        curv = principal_curvatures_analytic(SpheroCylindricalMomentum(a), 0.5)
+        perturbed = PrincipalCurvatures(km=curv.km + 0.01, kp=curv.kp)
+        assert abs(sextic_residual(perturbed, a)) >= 1e-3
 
     def test_zero_latitude(self):
-        with pytest.raises(ZeroLatitude):
-            sextic_residual(1.0, 0.0)
+        # the profile is odd, so the record takes kp = K'(0) at z = 0
+        assert abs(self.residual(1.0, 0.0)) < 1e-10
 
 
 class TestGeographicCompatibility:
