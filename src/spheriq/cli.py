@@ -340,10 +340,12 @@ def _add_conic_flags(sub):
 
 
 def _add_profile_flags(sub):
-    sub.add_argument("--quadric", nargs=2, type=_finite_float, metavar=("MU", "C"))
-    sub.add_argument("--constant", type=_finite_float, metavar="K")
-    sub.add_argument("--linear", type=_finite_float, metavar="K0")
-    sub.add_argument("--fake-paraboloid", type=_finite_float, metavar="A")
+    # one profile per command: a second profile flag exits 2
+    group = sub.add_mutually_exclusive_group()
+    group.add_argument("--quadric", nargs=2, type=_finite_float, metavar=("MU", "C"))
+    group.add_argument("--constant", type=_finite_float, metavar="K")
+    group.add_argument("--linear", type=_finite_float, metavar="K0")
+    group.add_argument("--fake-paraboloid", type=_finite_float, metavar="A")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -38,7 +38,8 @@ class NoFeasibleRegion(SpheriqError):
 
 
 class QuadratureFailure(SpheriqError):
-    """The quadrature chart does not apply to the integrand."""
+    """The quadrature chart does not apply to the integrand, or its inversion
+    did not converge."""
 
 
 class OutOfDomain(SpheriqError):

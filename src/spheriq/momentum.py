@@ -8,12 +8,16 @@ profile's denominator is a quadratic in t = z^2, so the turning latitudes
 (the zeros of g) and the longitude are known in closed form.  The arc length
 (elliptic for quadrics) has an integrable square-root singularity at each
 turning point; z = m + r sin(u) removes it, leaving a smooth integrand in u
-that is handled by fixed Gauss panels.
+that is handled by fixed Gauss panels.  The integrand's values at each
+panel's Gauss nodes also fix its degree-11 interpolant there, whose
+antiderivative gives s(u) anywhere, and by Newton's method u(s), with no
+integrand calls after the chart is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -272,8 +276,66 @@ def feasible_intervals(p: MomentumProfile) -> list[FeasibleInterval]:
 # arc-length chart over one feasible interval
 # ---------------------------------------------------------------------------
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
+# the symmetric 12-point Gauss-Legendre rule, bit for bit as
+# numpy.polynomial.legendre.leggauss(12) gives it; computing it at import
+# loads numpy.polynomial and runs an eigensolver, ~1.8 MiB of resident memory
+# in a bare interpreter
+_GL_X_POS = np.array([
+    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+])
+_GL_W_POS = np.array([
+    0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+    0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
+])
+_GL_X = np.concatenate([-_GL_X_POS[::-1], _GL_X_POS])
+_GL_W = np.concatenate([_GL_W_POS[::-1], _GL_W_POS])
 _N_PANELS = 200
+
+
+def _legendre_at(x, n):
+    """Rows: P_0 .. P_{n-1} at x, by the three-term recurrence."""
+    out = np.ones((n, len(x)))
+    out[1] = x
+    for m in range(2, n):
+        out[m] = (out[m - 1] * x * (2 * m - 1) - out[m - 2] * (m - 1)) / m
+    return out
+
+
+def _monomials_of_legendre(n):
+    """Columns: the exact monomial coefficients of P_0 .. P_{n-1}, lowest first."""
+    out = np.zeros((n, n))
+    for m in range(n):
+        for k in range(m // 2 + 1):
+            out[m - 2 * k, m] = (-1) ** k * comb(m, k) * comb(2 * m - 2 * k, m) / 2 ** m
+    return out
+
+
+# Fixed linear maps on a panel's 12 Gauss-node values f_k, in the panel
+# variable x in [-1, 1].  The discrete Legendre transform
+# a_m = (m + 1/2) sum_k w_k P_m(x_k) f_k is exact for the degree-11
+# interpolant.  Its antiderivative from x = -1 has the Legendre coefficients
+# of int P_0 = P_1 + P_0 and int P_m = (P_{m+1} - P_{m-1}) / (2m + 1), written
+# here as monomials in x, highest degree first for Horner's rule; the
+# interpolant's values at x = -1 and 1 are sums of a.  The transform stays a
+# separate product: fused with the monomial map, its entries reach ~90 and
+# cancel on the nearly constant f.
+_TO_LEGENDRE = (np.arange(12) + 0.5)[:, None] * (_legendre_at(_GL_X, 12) * _GL_W)
+_P = _monomials_of_legendre(13)
+_ANTIDERIVATIVE = np.column_stack(
+    [_P[:, 0] + _P[:, 1]] + [(_P[:, m + 1] - _P[:, m - 1]) / (2 * m + 1) for m in range(1, 12)]
+)[::-1]
+_ENDS = np.array([(-1.0) ** np.arange(12), np.ones(12)])
+
+
+def _horner(coef, j, x):
+    """Panel j's polynomial and its derivative at x; `coef` holds one row per
+    power, highest first, and one column per panel."""
+    value, slope = coef[0][j], 0.0
+    for c in coef[1:]:
+        slope = slope * x + value
+        value = value * x + c[j]
+    return value, slope
 
 
 def _panel(bounds, x):
@@ -287,9 +349,15 @@ class ReconstructionMap:
     With both interval endpoints simple zeros of g, z = m + r sin(u) turns
     1/sqrt(g) into 1/sqrt(h) with h = g / ((z - z_lo)(z_hi - z)) smooth and
     positive on the closed interval, so cumulative Gauss panels in u give
-    machine-accurate s(u); point queries invert s(u) with a vectorized Newton
-    iteration inside the bracketing panel.  The longitude is the profile's
-    closed form at z - z_lo = r (1 + sin u) and sqrt(g) = r cos(u) sqrt(h).
+    machine-accurate s(u).  The build keeps, per panel, the antiderivative of
+    the degree-11 interpolant of ds/du through its 12 Gauss-node values, so
+    s(u) anywhere, and ds/du as its slope, is a polynomial evaluation with no
+    further integrand calls.  Point queries start from the inverse cubic
+    Hermite of s(u) on the bracketing panel, built from the panel-end values
+    of s and of the interpolant, and run Newton's method on the panel
+    polynomial; a query that does not converge in 12 steps raises
+    QuadratureFailure.  The longitude is the profile's closed form at
+    z - z_lo = r (1 + sin u) and sqrt(g) = r cos(u) sqrt(h).
     """
 
     def __init__(
@@ -311,14 +379,20 @@ class ReconstructionMap:
                 "g has a higher-order zero at a turning point; "
                 "the sqrt substitution does not apply"
             )
-        # cumulative s at panel boundaries
+        # cumulative s at panel boundaries, and each panel's polynomials in
+        # x = (u - mid) / half
         self._u_bounds = np.linspace(-np.pi / 2, np.pi / 2, _N_PANELS + 1)
-        half = 0.5 * (self._u_bounds[1] - self._u_bounds[0])
-        mids = 0.5 * (self._u_bounds[:-1] + self._u_bounds[1:])
-        nodes = mids[:, None] + half * _GL_X[None, :]
-        fs = self._ds_du(nodes)
+        self._half = half = 0.5 * (self._u_bounds[1] - self._u_bounds[0])
+        self._mids = 0.5 * (self._u_bounds[:-1] + self._u_bounds[1:])
+        fs = self._ds_du(self._mids[:, None] + half * _GL_X[None, :])
         self._s_bounds = np.concatenate([[0.0], np.cumsum(half * fs @ _GL_W)])
-        self._g_lo = self._longitude(-np.pi / 2)
+        legendre = _TO_LEGENDRE @ fs.T
+        self._s_coef = half * (_ANTIDERIVATIVE @ legendre)
+        # du/ds at both panel ends in units of the panel's mean, the slopes of
+        # the inverse cubic Hermite that starts each query
+        self._end_slopes = legendre[0] / (_ENDS @ legendre)
+        self._g_lo, g_hi = self._longitude(np.array([-np.pi / 2, np.pi / 2]))
+        self._branch_lambda = float(g_hi - self._g_lo)
 
     # -- chart pieces ------------------------------------------------------
 
@@ -341,13 +415,7 @@ class ReconstructionMap:
 
     @property
     def branch_lambda(self) -> float:
-        return float(self._longitude(np.pi / 2) - self._g_lo)
-
-    def _partial(self, u_from, u_to):
-        """Gauss integrals of ds/du over per-sample subintervals."""
-        half = 0.5 * (u_to - u_from)
-        nodes = 0.5 * (u_from + u_to)[..., None] + half[..., None] * _GL_X
-        return half * (self._ds_du(nodes) @ _GL_W)
+        return self._branch_lambda
 
     def u_of_s(self, s):
         """Invert the strictly increasing s(u) for s in [0, branch_length]."""
@@ -356,17 +424,23 @@ class ReconstructionMap:
             raise OutOfDomain("arc length outside the branch")
         s = np.clip(s, 0.0, self.branch_length)
         j = _panel(self._s_bounds, s)
-        u0 = self._u_bounds[j]
-        du = self._u_bounds[j + 1] - u0
-        ds = self._s_bounds[j + 1] - self._s_bounds[j]
-        u = u0 + du * (s - self._s_bounds[j]) / ds
+        s0 = self._s_bounds[j]
+        t = (s - s0) / (self._s_bounds[j + 1] - s0)
+        m0, m1 = self._end_slopes[:, j]
+        hermite = t * t * (3.0 - 2.0 * t) + t * (1.0 - t) * ((1.0 - t) * m0 - t * m1)
+        u = self._u_bounds[j] + 2.0 * self._half * hermite
+        mids = self._mids[j]
         for _ in range(12):
-            resid = self._s_bounds[j] + self._partial(u0, u) - s
-            step = resid * np.sqrt(self.profile.h_factor(self.z_of_u(u), *self._ends))
+            # the antiderivative's slope in x is half times the interpolant
+            s_poly, slope = _horner(self._s_coef, j, (u - mids) / self._half)
+            step = (s0 + s_poly - s) * self._half / slope
             u = np.clip(u - step, -np.pi / 2, np.pi / 2)
-            if np.max(np.abs(step)) < 1e-14:
-                break
-        return u
+            if np.all(np.abs(step) < 1e-14):
+                return u
+        raise QuadratureFailure(
+            f"arc-length inversion did not converge in 12 Newton steps "
+            f"(last step {np.max(np.abs(step)):.3e})"
+        )
 
     def s_of_z(self, z):
         """Arc length from the lower turning point to latitude z (vectorized)."""
@@ -380,7 +454,8 @@ class ReconstructionMap:
         # the turning points, where (z - m) / r misses by about sqrt(eps) in u
         u = np.arcsin(np.clip(((z - z_lo) - (z_hi - z)) / width, -1.0, 1.0))
         j = _panel(self._u_bounds, u)
-        return self._s_bounds[j] + self._partial(self._u_bounds[j], u)
+        x = (u - self._mids[j]) / self._half
+        return self._s_bounds[j] + _horner(self._s_coef, j, x)[0]
 
     def state_of_s(self, s):
         """(z, lambda-offset) on the single monotone branch, s in [0, L]."""

@@ -1,9 +1,11 @@
-"""Functions only the tests use: file readers, z-rotation alignment and the
-two geographic-form differentials dlambda/dphi of a quadric profile."""
+"""Functions only the tests use: file readers, z-rotation alignment, the
+two geographic-form differentials dlambda/dphi of a quadric profile and an
+adaptive-quadrature reference for the arc-length chart."""
 
 import csv
 
 import numpy as np
+from scipy.integrate import quad
 
 from spheriq.errors import IOFailure
 from spheriq.projection import Mesh
@@ -84,3 +86,17 @@ def dlambda_dphi_cylinder(c_len: float, d_len: float, phi) -> np.ndarray:
     rad1 = d2 - sp2
     rad2 = c2 * sp2 + d2 * np.cos(phi) ** 2 - c2 * d2
     return c_len * np.abs(1.0 - d2) * np.abs(np.tan(phi)) / np.sqrt(rad1 * rad2)
+
+
+def quad_arc_length(p, iv, u) -> float:
+    """Arc length from the lower turning point to chart coordinate u by adaptive quad.
+
+    The integrand is ds/du = 1 / sqrt(h) at z = m + r sin(u), smooth on the
+    closed interval, so no grading towards the turning points is needed.
+    """
+    m, r = 0.5 * (iv.z_lo + iv.z_hi), 0.5 * iv.width
+
+    def f(v):
+        return 1.0 / np.sqrt(float(p.h_factor(m + r * np.sin(v), iv.z_lo, iv.z_hi)))
+
+    return quad(f, -np.pi / 2, float(u), epsabs=5e-14, epsrel=5e-14, limit=200)[0]

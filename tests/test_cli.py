@@ -268,6 +268,16 @@ class TestInvalidInput:
             pytest.param(
                 ["quadric", "--quadric", "1", "-1", "--step", "1e-3"], None, id="quadric-step"
             ),
+            pytest.param(
+                ["verify", "--quadric", "1", "-1", "--fake-paraboloid", "1"],
+                None,
+                id="verify-two-profiles",
+            ),
+            pytest.param(
+                ["reconstruct", "--constant", "0.5", "--linear", "0.3"],
+                None,
+                id="reconstruct-two-profiles",
+            ),
         ],
     )
     def test_exit_2_without_traceback(self, argv, seed, tmp_path, monkeypatch, capsys):

@@ -28,7 +28,7 @@ from spheriq.momentum import (
 from spheriq.sphere import geodesic_distance, momentum_from_samples
 from spheriq.surfaces import make_quadric_surface
 
-from helpers import align_z_rotation, rotate_z
+from helpers import align_z_rotation, quad_arc_length, rotate_z
 
 
 class TestProfiles:
@@ -219,6 +219,71 @@ class TestTurningPointHandling:
         pts = rm.point(s)
         speed = np.linalg.norm(np.diff(pts, axis=0), axis=1) / np.diff(s)
         assert np.max(np.abs(speed - 1.0)) < 1e-5
+
+
+class TestPanelInterpolant:
+    # s(u) comes from the degree-11 interpolant of ds/du through each panel's
+    # Gauss nodes, integrated in closed form, and u(s) from Newton's method on
+    # that panel polynomial
+    PROFILES = [
+        QuadricMomentum(-1.5, 5.0),
+        QuadricMomentum(2.0, -3.0),
+        QuadricMomentum(1e7, 0.3),
+        QuadricMomentum(-1.5, 2.5 + np.sqrt(6.0 + 1e-12)),
+        ConstantMomentum(0.3),
+        LinearMomentum(-2.0),
+        SpheroCylindricalMomentum(-0.4),
+    ]
+
+    def test_arc_length_matches_quad(self, rng):
+        for p in self.PROFILES:
+            for iv in feasible_intervals(p):
+                rm = ReconstructionMap(p, iv)
+                s = rng.uniform(0.0, rm.branch_length, 6)
+                u = rm.u_of_s(s)
+                ref = [quad_arc_length(p, iv, ui) for ui in u]
+                assert np.max(np.abs(s - ref)) <= 1e-13, p
+
+    def test_round_trip_through_latitude(self, rng):
+        # z determines s only to (ds/dz) times its rounding, which grows
+        # without bound at the turning points and on the discriminant-1e-12
+        # band (1.5e-7 wide, ~1e-9 in s), so the interior samples keep 5 % of
+        # the branch from each end and that band is left out
+        for p in self.PROFILES[:3] + self.PROFILES[4:]:
+            for iv in feasible_intervals(p):
+                rm = ReconstructionMap(p, iv)
+                interior = rng.uniform(0.05, 0.95, 50) * rm.branch_length
+                s = np.concatenate([[0.0, rm.branch_length], interior])
+                back = rm.s_of_z(rm.z_of_u(rm.u_of_s(s)))
+                assert np.max(np.abs(back - s)) <= 1e-13, p
+
+    def test_point_evaluates_h_once(self, monkeypatch):
+        # after the build, one point call evaluates h once per sample, for the
+        # longitude, and never at Gauss nodes
+        sizes = []
+        for cls in (QuadricMomentum, ConstantMomentum, LinearMomentum, SpheroCylindricalMomentum):
+            h_factor = cls.h_factor
+            monkeypatch.setattr(
+                cls,
+                "h_factor",
+                lambda self, z, lo, hi, h=h_factor: sizes.append(np.size(z)) or h(self, z, lo, hi),
+            )
+        for p in self.PROFILES[:1] + self.PROFILES[4:]:
+            rm = ReconstructionMap(p, feasible_intervals(p)[-1])
+            sizes.clear()
+            rm.point(np.linspace(0.0, 3.0 * rm.branch_length, 50))
+            assert sizes == [50], p
+
+    def test_unconverged_newton_raises(self):
+        p = QuadricMomentum(-1.5, 5.0)
+        rm = ReconstructionMap(p, feasible_intervals(p)[-1])
+        # every panel polynomial becomes x^2 + L + 1, which exceeds every
+        # s - s0 on the branch, so Newton's method has no root to converge to
+        rm._s_coef = np.zeros_like(rm._s_coef)
+        rm._s_coef[-3] = 1.0
+        rm._s_coef[-1] = rm.branch_length + 1.0
+        with pytest.raises(QuadratureFailure):
+            rm.point(np.linspace(0.1, 0.9, 5) * rm.branch_length)
 
 
 class TestReconstruct:
