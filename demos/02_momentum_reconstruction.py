@@ -18,7 +18,7 @@ from spheriq.momentum import (
     reconstruct,
     validate_reconstruction,
 )
-from spheriq.sphere import momentum_from_samples, write_curve_csv
+from spheriq.sphere import invariants_from_samples, write_curve_csv
 
 # ---------------------------------------------------------------------------
 # 1. constant momentum gives great circles
@@ -63,7 +63,7 @@ print(f"curve lies on the cylinder x^2/4 + z^2/0.25 = 1: "
       f"max residual {np.max(np.abs(res)):.2e}")
 
 # the measured momentum of the samples reproduces the profile
-curve = momentum_from_samples(curve)
+curve = invariants_from_samples(curve)
 dev = np.abs(curve.momentum[2:-2] - profile.value(curve.z[2:-2]))
 print(f"sampled momentum matches K(z): max dev {np.max(dev):.2e}")
 

@@ -222,8 +222,9 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    rng = np.random.default_rng(_seed())
     report = _base_report("verify", args)
+    report["seed"] = seed = _seed()
+    rng = np.random.default_rng(seed)
     profile = _profile_from_args(args)
     # each feasible band, 1 % of its width in from both turning points
     z = np.concatenate([

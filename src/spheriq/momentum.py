@@ -29,12 +29,7 @@ from .errors import (
     OutOfDomain,
     QuadratureFailure,
 )
-from .sphere import (
-    SampledCurve,
-    curvature_from_samples,
-    geo_arrays_to_points,
-    momentum_from_samples,
-)
+from .sphere import SampledCurve, geo_arrays_to_points, invariants_from_samples
 
 _DOUBLE_ZERO_TOL = 1e-8
 
@@ -535,7 +530,7 @@ class ReconstructionReport:
 
 def validate_reconstruction(c: SampledCurve, p: MomentumProfile) -> ReconstructionReport:
     """Compare finite-difference momentum and curvature against K and K'."""
-    c = momentum_from_samples(curvature_from_samples(c))
+    c = invariants_from_samples(c)
     interior = slice(2, -2)
     z = c.z[interior]
     mom_dev = np.abs(c.momentum[interior] - p.value(z))

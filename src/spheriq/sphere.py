@@ -2,20 +2,20 @@
 
 Curves are handled as discrete samples parameterized by arc length.  The
 geodesic curvature of a unit-speed curve u(s) is det(u, u', u'') and the
-angular momentum about the z-axis is x'y - xy'; both are recovered from
-uniformly spaced samples with finite differences (3-point first
-derivatives, 5-point second derivatives, one-sided second-order stencils
-at the ends).  A `SampledCurve` checks that its samples are spaced by arc
-length: each chord speed must reach 1 - 10 h^2, less half the square of the
-larger turning angle at its two ends, so that samples slerped across the
-corners of a point chain, or along a strongly curved curve, pass while
-mis-spaced ones do not.  The geographic map `cartesian_to_geo` broadcasts
-over point arrays.
+angular momentum about the z-axis is x'y - xy' (`frame_invariants`);
+`invariants_from_samples` fills both from one finite-difference pass over
+uniformly spaced samples (3-point first derivatives, 5-point second
+derivatives, one-sided second-order stencils at the ends).  A `SampledCurve`
+checks that its samples are spaced by arc length: each chord speed must
+reach 1 - 10 h^2, less half the square of the larger turning angle at its
+two ends, so that samples slerped across the corners of a point chain, or
+along a strongly curved curve, pass while mis-spaced ones do not.  The
+geographic map `cartesian_to_geo` broadcasts over point arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,6 +114,9 @@ class SampledCurve:
     kappa, tau ~ kappa h and the deficit (1 + kappa^2) h^2 / 24 is smaller
     still; 10 h^2 alone covers it up to kappa ~ 15.  The upper end lets the
     chord exceed ds by 1e-11, the position accuracy of the points.
+
+    The checks run once, when the curve is built: `invariants_from_samples`
+    shares s and points, which nothing mutates, and checks only new shapes.
     """
 
     s: np.ndarray
@@ -127,13 +130,7 @@ class SampledCurve:
         n = len(self.s)
         if n < 3 or self.points.shape != (n, 3):
             raise TooFewSamples(f"need >= 3 samples, got s:{n} points:{self.points.shape}")
-        for name in ("kappa", "momentum"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=float)
-                object.__setattr__(self, name, arr)
-                if arr.shape != (n,):
-                    raise DegenerateInput(f"{name} length {arr.shape} != {n}")
+        self._check_invariants()
         ds = np.diff(self.s)
         if np.any(ds <= 0):
             raise DegenerateInput("arc length must be strictly increasing")
@@ -153,6 +150,15 @@ class SampledCurve:
                 f"chord speed outside [{np.min(lo):.6g}, 1]: range "
                 f"[{speed.min():.6g}, {speed.max():.6g}] (not arc length?)"
             )
+
+    def _check_invariants(self) -> None:
+        for name in ("kappa", "momentum"):
+            arr = getattr(self, name)
+            if arr is not None:
+                arr = np.asarray(arr, dtype=float)
+                object.__setattr__(self, name, arr)
+                if arr.shape != (len(self),):
+                    raise DegenerateInput(f"{name} length {arr.shape} != {len(self)}")
 
     @property
     def x(self) -> np.ndarray:
@@ -213,27 +219,22 @@ def curve_derivatives(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
     return d1, d2
 
 
-def curvature_from_samples(c: SampledCurve) -> SampledCurve:
-    """Fill kappa with det(u, u', u'') from finite differences."""
-    if len(c) < 5:
-        raise TooFewSamples(f"curvature needs >= 5 samples, got {len(c)}")
+def frame_invariants(p, d1, d2) -> tuple[np.ndarray, np.ndarray]:
+    """Curvature det(u, u', u'') and momentum x'y - xy' of unit-speed points p
+    with derivatives d1, d2, broadcast over leading axes.  The momentum's sign
+    follows the orientation (normal u x u'); the reversed trace negates it."""
+    kappa = np.einsum("...j,...j->...", p, np.cross(d1, d2))
+    return kappa, d1[..., 0] * p[..., 1] - p[..., 0] * d1[..., 1]
+
+
+def invariants_from_samples(c: SampledCurve) -> SampledCurve:
+    """c with kappa and momentum from one finite-difference pass, sharing its s and points."""
     d1, d2 = curve_derivatives(c.s, c.points)
-    kappa = np.einsum("ij,ij->i", c.points, np.cross(d1, d2))
-    return replace(c, kappa=kappa)
-
-
-def momentum_from_samples(c: SampledCurve) -> SampledCurve:
-    """Fill the angular momentum x'y - xy' from finite differences.
-
-    The sign follows the curve's orientation (normal u x u'); traversing the
-    same trace backwards negates the momentum, and both signs describe the
-    same geometry.
-    """
-    if len(c) < 5:
-        raise TooFewSamples(f"momentum needs >= 5 samples, got {len(c)}")
-    d1, _ = curve_derivatives(c.s, c.points)
-    mom = d1[:, 0] * c.points[:, 1] - c.points[:, 0] * d1[:, 1]
-    return replace(c, momentum=mom)
+    kappa, mom = frame_invariants(c.points, d1, d2)
+    out = object.__new__(SampledCurve)
+    out.__dict__.update(s=c.s, points=c.points, kappa=kappa, momentum=mom)
+    out._check_invariants()
+    return out
 
 
 def slerp(p: np.ndarray, q: np.ndarray, f: np.ndarray) -> np.ndarray:

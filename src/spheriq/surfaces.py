@@ -46,7 +46,7 @@ from .momentum import (
     SpheroCylindricalMomentum,
     feasible_intervals,
 )
-from .sphere import great_circle_point, parallel_point, small_circle_point
+from .sphere import frame_invariants, great_circle_point, parallel_point, small_circle_point
 
 
 class SurfaceFamily(enum.Enum):
@@ -185,11 +185,8 @@ def fundamental_forms(surface: RotationalSurface, s, h: float = 1e-3) -> Fundame
         raise OutOfDomain(f"s={s} outside profile domain [{lo}, {hi}]")
     pts = surface.profile.point(s[..., None] + np.arange(-2, 3) * h)
     p = pts[..., 2, :]
-    d1 = _D1_WEIGHTS @ pts / h
-    d2 = _D2_WEIGHTS @ pts / (h * h)
+    kappa, mom = frame_invariants(p, _D1_WEIGHTS @ pts / h, _D2_WEIGHTS @ pts / (h * h))
     z = p[..., 2]
-    kappa = np.sum(p * np.cross(d1, d2), axis=-1)
-    mom = d1[..., 0] * p[..., 1] - p[..., 0] * d1[..., 1]
     return FundamentalForms(G=z * z, L=kappa, N=z * mom)
 
 

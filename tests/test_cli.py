@@ -13,6 +13,8 @@ import spheriq
 from spheriq import cli
 from spheriq.cli import main
 
+from helpers import COVERAGE_GRIDS, coverage_pairs
+
 SRC = str(Path(spheriq.__file__).resolve().parents[1])
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 # the package root first: it imports nothing, the others only what precedes them
@@ -201,6 +203,12 @@ class TestVerifyCommand:
         assert rep["relation"] == "km=kp"
         assert rep["passed"] is True
 
+    def test_report_echoes_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPHERIQ_SEED", "7")
+        code, rep = run_json(capsys, ["verify", "--quadric", "-1.5", "5"])
+        assert code == 0
+        assert rep["seed"] == 7
+
 
 class TestProjectCommand:
     def test_quadric_cyclide(self, tmp_path, capsys):
@@ -219,6 +227,20 @@ class TestProjectCommand:
         assert abs(rep["a"] - 1.5) < 1e-12
         assert abs(rep["b"] - 5 / 3) < 1e-12
         assert rep["residual_max"] < 1e-9
+
+
+class TestCoverage:
+    # quadric and project exit 0 on the first 64 valid (mu, c) of each grid
+    @pytest.mark.parametrize("grid", sorted(COVERAGE_GRIDS))
+    def test_quadric_and_project_exit_0(self, grid, capsys):
+        failed = [
+            (cmd, mu, c)
+            for mu, c in coverage_pairs(grid, 64)
+            for cmd in ("quadric", "project")
+            if main([cmd, "--quadric", mu, c, "--json"]) != 0
+        ]
+        capsys.readouterr()
+        assert failed == []
 
 
 class TestNumberTokens:

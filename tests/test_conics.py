@@ -34,7 +34,7 @@ from spheriq.sphere import (
     SampledCurve,
     cartesian_to_geo,
     geodesic_distance,
-    momentum_from_samples,
+    invariants_from_samples,
     resample_by_arclength,
 )
 
@@ -385,7 +385,7 @@ class TestMomentumCoeffs:
     def test_sampled_momentum_agreement(self):
         conic = CylinderConic.horizontal(2.0, 0.5)
         mc = momentum_coeffs(conic)
-        curve = momentum_from_samples(
+        curve = invariants_from_samples(
             resample_by_arclength(sample_loop(conic, n=40_000), 1e-3)
         )
         z = curve.z[2:-2]

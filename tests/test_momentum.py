@@ -25,7 +25,8 @@ from spheriq.momentum import (
     reconstruct,
     validate_reconstruction,
 )
-from spheriq.sphere import geodesic_distance, momentum_from_samples
+from spheriq import sphere
+from spheriq.sphere import SampledCurve, geodesic_distance, invariants_from_samples
 from spheriq.surfaces import make_quadric_surface
 
 from helpers import align_z_rotation, quad_arc_length, rotate_z
@@ -327,7 +328,7 @@ class TestReconstruct:
     def test_latitude_momentum_bound(self):
         p = QuadricMomentum(0.5, 0.5)
         iv = feasible_intervals(p)[0]
-        cur = momentum_from_samples(reconstruct(p, iv, step=1e-3, branches=2))
+        cur = invariants_from_samples(reconstruct(p, iv, step=1e-3, branches=2))
         assert np.max(cur.momentum**2 + cur.z**2) <= 1.0 + 1e-6
 
     def test_step_contract(self):
@@ -378,6 +379,26 @@ class TestValidateReconstruction:
                 rep.z < iv.z_hi - 0.05 * width
             )
             assert np.max(rep.curvature_dev[interior]) < 5e-5
+
+    def test_one_derivative_pass_and_one_check_per_curve(self, monkeypatch):
+        # the invariants reuse the samples checked when the curve was built
+        calls = []
+        derivatives, post_init = sphere.curve_derivatives, SampledCurve.__post_init__
+        monkeypatch.setattr(
+            sphere, "curve_derivatives", lambda *a: calls.append("d") or derivatives(*a)
+        )
+        monkeypatch.setattr(
+            SampledCurve, "__post_init__", lambda self: calls.append("c") or post_init(self)
+        )
+        cases = [
+            ConstantMomentum(-0.6),
+            LinearMomentum(0.9),
+            QuadricMomentum(-1.5, 5.0),
+            SpheroCylindricalMomentum(1.0),
+        ]
+        for p in cases:
+            validate_reconstruction(reconstruct(p, feasible_intervals(p)[0], step=1e-3), p)
+        assert calls == ["c", "d"] * len(cases)
 
 
 def _quad_longitude(p, iv, u):

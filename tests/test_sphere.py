@@ -11,11 +11,10 @@ from spheriq.sphere import (
     SampledCurve,
     cartesian_to_geo,
     check_unit,
-    curvature_from_samples,
     geo_arrays_to_points,
     geodesic_distance,
     great_circle_point,
-    momentum_from_samples,
+    invariants_from_samples,
     parallel_point,
     resample_by_arclength,
     small_circle_point,
@@ -95,22 +94,22 @@ class TestGeoCoordinates:
 
 class TestCurvature:
     def test_parallel_constant_curvature(self):
-        c = curvature_from_samples(parallel_curve(np.pi / 4, step=1e-3))
+        c = invariants_from_samples(parallel_curve(np.pi / 4, step=1e-3))
         assert_allclose(c.kappa, np.tan(np.pi / 4), rtol=0, atol=1e-5)
 
     def test_great_circle_is_geodesic(self):
-        c = curvature_from_samples(great_circle_curve(np.pi / 3, step=1e-3))
+        c = invariants_from_samples(great_circle_curve(np.pi / 3, step=1e-3))
         assert np.max(np.abs(c.kappa)) < 1e-6
 
     def test_small_circle_constant_curvature(self):
-        c = curvature_from_samples(small_circle_curve(1.0, step=1e-3))
+        c = invariants_from_samples(small_circle_curve(1.0, step=1e-3))
         assert_allclose(c.kappa, -np.sinh(1.0), rtol=0, atol=1e-5)
 
     def test_second_order_convergence(self):
         # interior error should drop by about the square of the step ratio
         errs = []
         for step in (4e-3, 2e-3):
-            c = curvature_from_samples(small_circle_curve(1.0, step=step))
+            c = invariants_from_samples(small_circle_curve(1.0, step=step))
             errs.append(np.max(np.abs(c.kappa[5:-5] + np.sinh(1.0))))
         assert errs[0] / errs[1] > 2.5
 
@@ -118,26 +117,26 @@ class TestCurvature:
         pts = great_circle_curve(np.pi / 3, step=1e-2).points[:4]
         curve = SampledCurve(s=np.arange(4) * 1e-2, points=pts)
         with pytest.raises(TooFewSamples):
-            curvature_from_samples(curve)
+            invariants_from_samples(curve)
 
     def test_non_uniform_spacing_rejected(self):
         s = np.linspace(0.0, 1.0, 40) + 0.3 * np.linspace(0.0, 1.0, 40) ** 2
         curve = SampledCurve(s=s, points=small_circle_point(1.0, s))
         with pytest.raises(DegenerateInput):
-            curvature_from_samples(curve)
+            invariants_from_samples(curve)
 
 
 class TestMomentum:
     def test_great_circle_momentum(self):
-        c = momentum_from_samples(great_circle_curve(np.pi / 3, step=1e-3))
+        c = invariants_from_samples(great_circle_curve(np.pi / 3, step=1e-3))
         assert_allclose(c.momentum, -np.cos(np.pi / 3), rtol=0, atol=1e-6)
 
     def test_zero_meridian_null_momentum(self):
-        c = momentum_from_samples(great_circle_curve(np.pi / 2, step=1e-3))
+        c = invariants_from_samples(great_circle_curve(np.pi / 2, step=1e-3))
         assert np.max(np.abs(c.momentum)) < 1e-9
 
     def test_small_circle_momentum_linear_in_z(self):
-        c = momentum_from_samples(small_circle_curve(1.0, step=1e-3))
+        c = invariants_from_samples(small_circle_curve(1.0, step=1e-3))
         i = np.argmin(np.abs(c.z - 0.3))
         assert abs(c.z[i] - 0.3) < 1e-3
         assert abs(c.momentum[i] + np.sinh(1.0) * c.z[i]) < 1e-5
@@ -151,7 +150,7 @@ class TestMomentum:
             great_circle_curve(1.1, step=1e-3),
             small_circle_curve(-1.4, step=1e-3),
         ):
-            c = momentum_from_samples(curve)
+            c = invariants_from_samples(curve)
             assert np.max(c.momentum**2 + c.z**2) <= 1.0 + 1e-6
 
 
@@ -214,9 +213,7 @@ class TestSampledCurveInvariants:
 
 class TestCsv:
     def test_roundtrip_bit_exact(self, tmp_path):
-        c = momentum_from_samples(
-            curvature_from_samples(small_circle_curve(0.7, step=1e-2))
-        )
+        c = invariants_from_samples(small_circle_curve(0.7, step=1e-2))
         path = tmp_path / "curve.csv"
         write_curve_csv(c, path)
         back = read_curve_csv(path)
@@ -229,7 +226,7 @@ class TestCsv:
     def test_bytes_match_csv_writer_reference(self, tmp_path, invariants):
         c = small_circle_curve(0.7, step=2e-3 if invariants else 1e-3)
         if invariants:
-            c = momentum_from_samples(curvature_from_samples(c))
+            c = invariants_from_samples(c)
         assert len(c) > WRITE_CHUNK_ROWS
         path, ref = tmp_path / "curve.csv", tmp_path / "ref.csv"
         write_curve_csv(c, path)

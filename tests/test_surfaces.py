@@ -11,7 +11,7 @@ from spheriq.momentum import (
     SpheroCylindricalMomentum,
     feasible_intervals,
 )
-from spheriq.sphere import SampledCurve, momentum_from_samples
+from spheriq.sphere import SampledCurve, invariants_from_samples
 from spheriq.surfaces import (
     SurfaceFamily,
     fundamental_forms,
@@ -361,7 +361,7 @@ class TestFakeParaboloid:
         S = make_fake_paraboloid(1.0)
         lo, hi = S.s_domain
         s = lo + np.arange(int(np.floor((hi - lo) / 1e-3)) + 1) * 1e-3
-        cur = momentum_from_samples(SampledCurve(s=s, points=S.profile.point(s)))
+        cur = invariants_from_samples(SampledCurve(s=s, points=S.profile.point(s)))
         prof = SpheroCylindricalMomentum(1.0)
         dev = np.abs(cur.momentum[2:-2] - prof.value(cur.z[2:-2]))
         assert np.max(dev) < 5e-5
