@@ -231,17 +231,47 @@ def euler_characteristic(mesh: Mesh) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _face_records(idx: np.ndarray) -> str:
+    """The text of "f %d %d %d\\n" per row of positive integers idx (n x 3).
+
+    Each index is written right-aligned into a uint8 row matrix whose digit
+    fields are as wide as the block's widest index, with 'f', the spaces and
+    the newline in fixed columns.  A leading pad position, where the digits
+    left to write are all zero, holds the byte 0, which the final boolean
+    mask drops.
+    """
+    width, power = 1, 10
+    while (idx >= power).any():
+        width, power = width + 1, power * 10
+    step = width + 1  # one field: ' ' and `width` digit columns
+    buf = np.zeros((len(idx), 3 * step + 2), dtype=np.uint8)
+    buf[:, 0], buf[:, 1::step], buf[:, -1] = ord("f"), ord(" "), ord("\n")
+    rest = idx
+    for col in range(width + 1, 1, -1):  # digit columns, right to left
+        quot = rest // 10
+        buf[:, col::step] = (rest - 10 * quot + ord("0")) * (rest > 0)
+        rest = quot
+    return buf[buf > 0].tobytes().decode("ascii")
+
+
 def write_obj(mesh: Mesh, path) -> None:
-    """Write an ASCII OBJ (v/f records, 1-based indices, round-trip floats)."""
+    """Write an ASCII OBJ: "v x y z" records with shortest round-trip floats,
+    then "f i j k" records with 1-based indices, "\\n" line ends everywhere.
+
+    Vertices are formatted per float with `repr`, which no numpy formatting
+    beats byte-identically. Faces are formatted a WRITE_CHUNK_ROWS block at a
+    time by a numpy digit kernel, one string and one write per block; the
+    bytes equal those of "f %d %d %d\\n" per row. A mesh without faces writes
+    the vertex records only.
+    """
     if mesh.vertices.size and mesh.vertices.shape[1] != 3:
         raise IOFailure("OBJ output needs 3-vector vertices; project the mesh first")
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", newline="\n") as fh:
             for i in range(0, len(mesh.vertices), WRITE_CHUNK_ROWS):
                 rows = mesh.vertices[i : i + WRITE_CHUNK_ROWS].tolist()
                 fh.writelines("v %r %r %r\n" % tuple(v) for v in rows)
             for i in range(0, len(mesh.faces), WRITE_CHUNK_ROWS):
-                rows = (mesh.faces[i : i + WRITE_CHUNK_ROWS] + 1).tolist()
-                fh.writelines("f %d %d %d\n" % tuple(f) for f in rows)
+                fh.write(_face_records(mesh.faces[i : i + WRITE_CHUNK_ROWS] + 1))
     except OSError as exc:
         raise IOFailure(str(exc)) from exc

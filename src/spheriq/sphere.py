@@ -312,9 +312,12 @@ def small_circle_point(delta: float, s) -> np.ndarray:
 CSV_HEADER = ["s", "x", "y", "z", "kappa", "momentum"]
 
 # rows per tolist() call, which bounds the Python floats held at once.  Each
-# row is formatted on its own and passed to writelines, which writes in
+# float row is formatted on its own and passed to writelines, which writes in
 # ~8 KiB batches: one large string per chunk fragmented the heap between
-# the callers' big arrays and raised their peak memory.
+# the callers' big arrays and raised their peak memory.  It also bounds the
+# scratch of write_obj's face kernel: a uint8 matrix of 3 * (d + 1) + 2
+# bytes per row for d-digit indices, its mask and the one string it writes
+# per block.
 WRITE_CHUNK_ROWS = 1024
 
 

@@ -1,7 +1,7 @@
-"""Functions only the tests use: file readers, z-rotation alignment, the
-two geographic-form differentials dlambda/dphi of a quadric profile, an
-adaptive-quadrature reference for the arc-length chart and the seeded
-coverage grids of the moduli plane."""
+"""Functions only the tests use: file readers, the row-by-row OBJ reference,
+z-rotation alignment, the two geographic-form differentials dlambda/dphi of
+a quadric profile, an adaptive-quadrature reference for the arc-length chart
+and the seeded coverage grids of the moduli plane."""
 
 import csv
 
@@ -51,6 +51,14 @@ def read_obj(path) -> Mesh:
         vertices=np.array(verts, dtype=float).reshape(-1, 3),
         faces=np.array(faces, dtype=int).reshape(-1, 3),
     )
+
+
+def obj_reference(mesh: Mesh) -> bytes:
+    """The bytes write_obj must produce, formatted one record at a time."""
+    return "".join(
+        [f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n" for v in mesh.vertices]
+        + [f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n" for f in mesh.faces]
+    ).encode()
 
 
 def align_z_rotation(source: np.ndarray, target: np.ndarray) -> float:

@@ -13,7 +13,7 @@ import spheriq
 from spheriq import cli
 from spheriq.cli import main
 
-from helpers import COVERAGE_GRIDS, coverage_pairs
+from helpers import COVERAGE_GRIDS, coverage_pairs, obj_reference, read_obj
 
 SRC = str(Path(spheriq.__file__).resolve().parents[1])
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
@@ -158,6 +158,13 @@ class TestQuadricCommand:
         assert code == 0 and path.exists()
         assert rep["vertices"] > 0
 
+    def test_obj_bytes_match_reference(self, tmp_path, capsys):
+        path = tmp_path / "quadric.obj"
+        code, _ = run_json(capsys, ["quadric", "--quadric", "0.5", "0.5", "--obj", str(path)])
+        assert code == 0
+        # read_obj is bit-exact, so the reference formats the mesh as written
+        assert path.read_bytes() == obj_reference(read_obj(path))
+
 
 class TestClassifyCommand:
     def test_quadric_iii(self, capsys):
@@ -220,6 +227,12 @@ class TestProjectCommand:
         assert abs(rep["lam"] + 3.0) < 1e-9
         assert abs(rep["L"] - 10.0) < 1e-9
         assert rep["residual_max"] < 1e-8
+
+    def test_obj_bytes_match_reference(self, tmp_path, capsys):
+        path = tmp_path / "cyclide.obj"
+        code, _ = run_json(capsys, ["project", "--quadric", "-1.5", "5", "--obj", str(path)])
+        assert code == 0
+        assert path.read_bytes() == obj_reference(read_obj(path))
 
     def test_horizontal_spiric(self, capsys):
         code, rep = run_json(capsys, ["project", "--horizontal", "2", "0.5"])

@@ -25,7 +25,7 @@ from spheriq.surfaces import (
     make_quadric_surface,
 )
 
-from helpers import read_obj
+from helpers import obj_reference, read_obj
 
 
 class TestStereo:
@@ -216,11 +216,37 @@ class TestObj:
         assert len(mesh.vertices) > WRITE_CHUNK_ROWS and len(mesh.faces) > 2 * WRITE_CHUNK_ROWS
         path = tmp_path / "mesh.obj"
         write_obj(mesh, path)
-        ref = "".join(
-            [f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n" for v in mesh.vertices]
-            + [f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n" for f in mesh.faces]
-        )
-        assert path.read_bytes() == ref.encode()
+        assert path.read_bytes() == obj_reference(mesh)
+
+    @pytest.mark.parametrize("at_chunk_edge", [False, True], ids=["in-chunk", "chunk-edge"])
+    @pytest.mark.parametrize("first_wide", [10, 100, 1_000, 10_000, 100_000])
+    def test_index_digit_widths_match_reference(self, tmp_path, first_wide, at_chunk_edge):
+        # 1-based indices first_wide - 1 and first_wide differ in digit count;
+        # they meet inside one face block or on either side of a block edge
+        narrow, wide = first_wide - 2, first_wide - 1
+        if at_chunk_edge:
+            faces = [[narrow, 0, narrow]] * WRITE_CHUNK_ROWS + [[wide, narrow, wide], [0, 0, 0]]
+        else:
+            faces = [[narrow, wide, narrow], [wide, wide, 0], [0, narrow, wide], [narrow] * 3]
+        mesh = Mesh(vertices=np.zeros((first_wide, 3)), faces=faces)
+        path = tmp_path / "widths.obj"
+        write_obj(mesh, path)
+        assert path.read_bytes() == obj_reference(mesh)
+
+    def test_vertices_without_faces(self, tmp_path):
+        mesh = Mesh(vertices=np.eye(3), faces=np.empty((0, 3), dtype=int))
+        path = tmp_path / "points.obj"
+        write_obj(mesh, path)
+        assert path.read_bytes() == obj_reference(mesh)
+
+    def test_remapped_faces_match_reference(self, tmp_path):
+        # the pole vertices are culled, so faces are remapped and area-filtered
+        S = make_degenerate(SurfaceFamily.EQUATORIAL)
+        with pytest.warns(UserWarning, match="culled"):
+            mesh = mesh_from_surface(S, ns=16, nt=16, project=True)
+        path = tmp_path / "equatorial.obj"
+        write_obj(mesh, path)
+        assert path.read_bytes() == obj_reference(mesh)
 
     def test_rejects_4d_vertices(self, tmp_path):
         S = make_degenerate(SurfaceFamily.STANDARD_TORUS, 0.5)
