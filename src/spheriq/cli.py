@@ -84,18 +84,34 @@ def _seed() -> int:
     return int(raw)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+_SCALAR_JSON = json.JSONEncoder(sort_keys=True).encode
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), numpy scalars written as
+    Python numbers.  json's indenting encoder is pure Python and leaves its
+    nested closures in reference cycles after every call, garbage that waits
+    for a full collection in long runs; this recursion leaves none, and
+    json's C encoder writes each key and scalar."""
+    if isinstance(obj, dict) and obj:
+        inner = indent + "  "
+        items = [
+            f"{inner}{_SCALAR_JSON(k if isinstance(k, str) else _SCALAR_JSON(k))}: "
+            + _json_text(v, inner)
+            for k, v in sorted(obj.items())
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        inner = indent + "  "
+        items = [inner + _json_text(v, inner) for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+        obj = obj.item()
+    return _SCALAR_JSON(obj)
 
 
 def _emit(report: dict, args) -> None:
-    text = json.dumps(_jsonable(report), sort_keys=True, indent=2)
+    text = _json_text(report)
     if args.json:
         print(text)
         return

@@ -24,7 +24,7 @@ from .errors import (
     IOFailure,
     MissingParams,
 )
-from .sphere import WRITE_CHUNK_ROWS
+from .sphere import WRITE_CHUNK_ROWS, float_records
 from .surfaces import RotationalSurface, surface_point
 
 POLE_EPS = 1e-9
@@ -231,8 +231,8 @@ def euler_characteristic(mesh: Mesh) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _face_records(idx: np.ndarray) -> str:
-    """The text of "f %d %d %d\\n" per row of positive integers idx (n x 3).
+def _face_records(idx: np.ndarray) -> bytes:
+    """The bytes of "f %d %d %d\\n" per row of positive integers idx (n x 3).
 
     Each index is written right-aligned into a uint8 row matrix whose digit
     fields are as wide as the block's widest index, with 'f', the spaces and
@@ -251,26 +251,26 @@ def _face_records(idx: np.ndarray) -> str:
         quot = rest // 10
         buf[:, col::step] = (rest - 10 * quot + ord("0")) * (rest > 0)
         rest = quot
-    return buf[buf > 0].tobytes().decode("ascii")
+    return buf[buf > 0].tobytes()
 
 
 def write_obj(mesh: Mesh, path) -> None:
     """Write an ASCII OBJ: "v x y z" records with shortest round-trip floats,
     then "f i j k" records with 1-based indices, "\\n" line ends everywhere.
 
-    Vertices are formatted per float with `repr`, which no numpy formatting
-    beats byte-identically. Faces are formatted a WRITE_CHUNK_ROWS block at a
-    time by a numpy digit kernel, one string and one write per block; the
-    bytes equal those of "f %d %d %d\\n" per row. A mesh without faces writes
-    the vertex records only.
+    Both record kinds are formatted a WRITE_CHUNK_ROWS block at a time by
+    numpy kernels, one bytes string and one write per block: vertices by
+    `sphere.float_records`, whose bytes equal "v %r %r %r\\n" per row, faces
+    by `_face_records`, whose bytes equal "f %d %d %d\\n" per row. A mesh
+    without faces writes the vertex records only.
     """
     if mesh.vertices.size and mesh.vertices.shape[1] != 3:
         raise IOFailure("OBJ output needs 3-vector vertices; project the mesh first")
     try:
-        with open(path, "w", newline="\n") as fh:
+        with open(path, "wb") as fh:
             for i in range(0, len(mesh.vertices), WRITE_CHUNK_ROWS):
-                rows = mesh.vertices[i : i + WRITE_CHUNK_ROWS].tolist()
-                fh.writelines("v %r %r %r\n" % tuple(v) for v in rows)
+                block = mesh.vertices[i : i + WRITE_CHUNK_ROWS]
+                fh.write(float_records(block, b"v ", b" ", b"\n"))
             for i in range(0, len(mesh.faces), WRITE_CHUNK_ROWS):
                 fh.write(_face_records(mesh.faces[i : i + WRITE_CHUNK_ROWS] + 1))
     except OSError as exc:

@@ -11,10 +11,13 @@ reach 1 - 10 h^2, less half the square of the larger turning angle at its
 two ends, so that samples slerped across the corners of a point chain, or
 along a strongly curved curve, pass while mis-spaced ones do not.  The
 geographic map `cartesian_to_geo` broadcasts over point arrays.
+`float_records` writes blocks of floats byte for byte as `repr` does, for
+the CSV writer here and the OBJ writer in `projection`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,11 +262,12 @@ def resample_by_arclength(points: np.ndarray, target_step: float) -> SampledCurv
         raise DegenerateInput("need an (N, 3) array with N >= 2")
     check_unit(pts)
     seg = geodesic_distance(pts[:-1], pts[1:])
-    keep = np.concatenate([[True], seg > 1e-15])
-    pts = pts[keep]
-    if len(pts) < 2:
-        raise DegenerateInput("all points coincide")
-    seg = geodesic_distance(pts[:-1], pts[1:])
+    moved = seg > 1e-15
+    if not moved.all():  # drop the points that repeat their predecessor
+        pts = pts[np.concatenate([[True], moved])]
+        if len(pts) < 2:
+            raise DegenerateInput("all points coincide")
+        seg = geodesic_distance(pts[:-1], pts[1:])
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = cum[-1]
     n_out = int(np.floor(total / target_step + 1e-9)) + 1
@@ -311,30 +315,220 @@ def small_circle_point(delta: float, s) -> np.ndarray:
 
 CSV_HEADER = ["s", "x", "y", "z", "kappa", "momentum"]
 
-# rows per tolist() call, which bounds the Python floats held at once.  Each
-# float row is formatted on its own and passed to writelines, which writes in
-# ~8 KiB batches: one large string per chunk fragmented the heap between
-# the callers' big arrays and raised their peak memory.  It also bounds the
-# scratch of write_obj's face kernel: a uint8 matrix of 3 * (d + 1) + 2
-# bytes per row for d-digit indices, its mask and the one string it writes
-# per block.
-WRITE_CHUNK_ROWS = 1024
+# rows per block of the CSV and OBJ writers: each block is formatted into one
+# bytes string and written at once.  It bounds the kernels' scratch: for a
+# block of n floats, float_records holds a few arrays of 8 n bytes and uint8
+# matrices of at most 32 n bytes, and write_obj's face kernel a uint8 matrix
+# of 3 * (d + 1) + 2 bytes per row for d-digit indices.  The largest, the
+# digit matrix of a six-column CSV block, is 48 KiB, well below glibc's
+# 128 KiB mmap threshold: scratch above it fragmented the heap between the
+# callers' big arrays and raised their peak memory.  512-row blocks ran the
+# kernel ~15 % faster, but doubled its peak memory.
+WRITE_CHUNK_ROWS = 256
+
+
+# ---------------------------------------------------------------------------
+# shortest round-trip floats
+# ---------------------------------------------------------------------------
+
+_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10**j) for j in range(23)])  # all exact
+_POW10_HI, _POW10_LO = _split(_POW10)
+# a = m 2**e2 (1/2 <= m < 1) times 10**j lies in [1e16, 1e17) for
+# j = _J_OF_E2[e2], less one where a >= _J_STEP_OF_E2[e2].  A step that is no
+# double rounds; a float next to it then lands just outside that range, which
+# _shortest_digits leaves to repr.
+_E2_OFFSET = 13  # -12 <= e2 <= 54 for 1e-4 <= a < 1e16
+_J_OF_E2 = np.array(
+    [16 - math.floor((e - 1) * math.log10(2)) for e in range(-_E2_OFFSET, 55)], np.int8
+)
+_J_STEP_OF_E2 = np.array([10.0 ** (17 - j) for j in _J_OF_E2.tolist()])
+# "0000" ... "9999", each as one uint32 of four ASCII digits in memory order
+_DIGITS4 = np.empty((10000, 4), np.uint8)
+for _k, _unit in enumerate((1000, 100, 10, 1)):
+    _DIGITS4[:, _k] = np.arange(10000, dtype=np.uint16) // _unit % 10 + ord("0")
+_DIGITS4 = _DIGITS4.view(np.uint32).ravel()
+_ZERO_WORD = np.frombuffer(b"\0\0\0" b"0", np.uint32)[0]
+_COLUMNS = np.arange(23, dtype=np.int8)
+_FIELD = 24  # the longest repr of a double: "-2.2250738585072014e-308"
+_MARGIN = 1e-9  # decisions this close to a boundary are left to repr
+
+
+def _scaled(a: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(D, r, H, j) for positive floats a = m 2**e2 in [1e-4, 1e16): a 10**j =
+    D + r exactly, for an integer D near [1e16, 1e17) and |r| <= 1/2, and H
+    is half an ulp of a times 10**j, also exact (0.55 <= H <= 11.1).  e2 is
+    overwritten.
+    """
+    e2 += _E2_OFFSET
+    j = _J_OF_E2[e2]
+    j -= a >= _J_STEP_OF_E2[e2]
+    p = _POW10[j]
+    e2 -= 54 + _E2_OFFSET
+    half_ulp = np.ldexp(p, e2)
+    hi = a * p
+    lo = _product_error(a, j, hi)
+    lo_int = np.rint(lo)
+    lo -= lo_int
+    d = hi.astype(np.int64)
+    d += lo_int.astype(np.int64)
+    return d, lo, half_ulp, j
+
+
+def _product_error(a: np.ndarray, j: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """a 10**j - hi, exactly, for hi = a * 10**j rounded: Dekker's error-free
+    product of the 26-bit halves.  10**j is a double for j <= 22, and no
+    fused multiply-add is needed."""
+    a_hi, a_lo = _split(a)
+    p_hi, p_lo = _POW10_HI[j], _POW10_LO[j]
+    lo = a_hi * p_hi
+    lo -= hi
+    lo += a_hi * p_lo
+    lo += a_lo * p_hi
+    lo += a_lo * p_lo
+    return lo
+
+
+def _shortest_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, decpt, exact) for the floats v: the shortest decimal that reads
+    back as v is +-0.T * 10**decpt, T a 17-digit integer with trailing zeros.
+
+    exact marks the floats whose digits this decides.  The rest are left to
+    repr: |v| outside [1e-4, 1e16), exact powers of two (their rounding
+    interval is asymmetric), a decision within 1e-9 of half an ulp, and a
+    carry into an 18th digit.  With |v| 10**j = D + r and H from `_scaled`,
+    the nearest multiple of 100 to D + r, its zeros stripped, is the
+    shortest decimal if it lies within H: no shorter one can, because
+    H < 50.  Otherwise the nearest multiple of 10 is, if within H, and else
+    D, whose rint already took a tie to the even neighbour, as repr does.
+    """
+    a = np.abs(v)
+    exact = a >= 1e-4
+    exact &= a < 1e16
+    a[~exact] = 1.5
+    mant, e2 = np.frexp(a)
+    exact &= mant != 0.5
+    del mant  # spent arrays go at once: each costs the writers 8 bytes a float
+    d17, r, half_ulp, j = _scaled(a, e2)
+    del a, e2
+    q16, q15 = d17 % 10, d17 % 100
+    near16, near15 = q16 + r, q15 + r  # D + r above the multiples below it
+    np.minimum(near16, 10.0 - near16, out=near16)
+    np.minimum(near15, 100.0 - near15, out=near15)
+    use16, use15 = near16 < half_ulp, near15 < half_ulp
+    exact &= np.abs(near16 - half_ulp) >= _MARGIN
+    exact &= np.abs(near15 - half_ulp) >= _MARGIN
+    # to the nearer multiple of 10, a tie to the even one (repr's rule)
+    up16 = (q16 > 5) | ((q16 == 5) & ((r > 0) | ((r == 0) & (d17 // 10 % 2 == 1))))
+    step = np.where(up16, 10 - q16, -q16)
+    step[~use16] = 0
+    step[use15] = np.where(q15 > 50, 100 - q15, -q15)[use15]
+    t = d17 + step
+    exact &= (d17 >= 10**16) & (t < 10**17)
+    return t, 17 - j, exact
+
+
+def _positional(t: np.ndarray, decpt: np.ndarray, width: int, at: int) -> np.ndarray:
+    """A zeroed uint8 matrix of `width` columns, one row per float, holding at
+    columns at + 1 ... at + 22 the positional text of 0.T * 10**decpt.
+
+    The text is E[:p] + "." + E[p:m]: E is the digits of T after
+    max(1 - decpt, 0) zeros, p = max(decpt, 1), and m keeps T's significant
+    digits and every digit up to one past the point.
+    """
+    nf = len(t)
+    # digit bytes: three pads, "0", T as 20 digits ("000" and its 17), pads;
+    # E[i] is byte 7 - zeros + i
+    words = np.zeros((nf, 8), np.uint32)
+    words[:, 0] = _ZERO_WORD
+    for col in range(5, 1, -1):
+        q = t // 10000
+        words[:, col] = _DIGITS4[t - 10000 * q]
+        t = q
+    words[:, 1] = _DIGITS4[t]
+    digits = words.view(np.uint8)
+    zeros = np.maximum(1 - decpt, 0)
+    p = decpt + zeros
+    nsig = 17 - np.argmax(digits[:, 23:6:-1] != ord("0"), axis=1).astype(np.int8)
+    m = np.maximum(nsig + zeros, p + 1)
+    # e[:, u] = E[u - 1], blank past E[m - 1]
+    windows = np.ndarray((nf, 7, 23), np.uint8, words, strides=(32, 1, 1))
+    e = windows[np.arange(nf), 6 - zeros]
+    del words, digits, windows
+    e *= _COLUMNS <= m[:, None]
+    out = np.zeros((nf, width), np.uint8)
+    body = out[:, at + 1 : at + 23]
+    body[:] = e[:, :-1]
+    np.copyto(body, e[:, 1:], where=_COLUMNS[:-1] < p[:, None])
+    out.reshape(-1)[np.arange(at + 1, nf * width, width) + p] = ord(".")
+    return out
+
+
+def float_records(block: np.ndarray, head: bytes, sep, end: bytes) -> bytes:
+    """The bytes of head + sep.join(repr(v) for v in row) + end per row of the
+    float block (n x k).  sep is one separator or a sequence of k - 1; head,
+    sep and end are ASCII bytes without NUL.
+
+    Each float reads as `repr` writes it: the shortest decimal that reads
+    back as the same double, positional for 1e-4 <= |v| < 1e16.  Its digits
+    come from `_shortest_digits`, and the floats that leaves undecided are
+    formatted by `repr` itself.  The text is laid out in a uint8 matrix with
+    one row per float: head, sign, digits (`_positional`), separator.  Its
+    pad bytes are 0 and are dropped at the end.
+    """
+    x = np.ascontiguousarray(block, dtype=float)
+    n, k = x.shape
+    if x.size == 0:
+        return b""
+    seps = [sep] * (k - 1) if isinstance(sep, bytes) else list(sep)
+    # the kernel runs on whole WRITE_CHUNK_ROWS blocks, padded with 0.1: numpy
+    # keeps freed buffers under 1 KiB for reuse by size, and arrays of every
+    # length grew the process by ~1 KiB per file written
+    v = np.full(-(-n // WRITE_CHUNK_ROWS) * WRITE_CHUNK_ROWS * k, 0.1)
+    v[: n * k] = x.reshape(-1)
+    t, decpt, exact = _shortest_digits(v)
+    h = len(head)
+    out = _positional(t, decpt, h + _FIELD + max(map(len, [end, *seps])), h)
+    del t, decpt
+    out[:, h] = np.signbit(v) * np.uint8(ord("-"))
+    out, v, exact = out[: n * k], v[: n * k], exact[: n * k]
+    rest = np.flatnonzero(~exact)
+    if rest.size:
+        texts = np.array([repr(f) for f in v[rest].tolist()], dtype=f"S{_FIELD}")
+        out[rest, h : h + _FIELD] = texts.view(np.uint8).reshape(-1, _FIELD)
+    rows = out.reshape(n, k, -1)
+    rows[:, 0, :h] = np.frombuffer(head, np.uint8)
+    for c, s in enumerate(seps):
+        rows[:, c, h + _FIELD : h + _FIELD + len(s)] = np.frombuffer(s, np.uint8)
+    rows[:, -1, h + _FIELD : h + _FIELD + len(end)] = np.frombuffer(end, np.uint8)
+    return out[out > 0].tobytes()
 
 
 def write_curve_csv(curve: SampledCurve, path) -> None:
     """Write a curve in the shared CSV format (shortest round-trip floats).
 
     The bytes are those of `csv.writer` with `repr` fields: comma-separated,
-    CRLF line ends, an unset invariant as an empty field.
+    CRLF line ends, an unset invariant as an empty field.  Each
+    WRITE_CHUNK_ROWS block of rows is formatted by `float_records`.
     """
-    extra = (curve.kappa, curve.momentum)
-    cols = [curve.s, curve.x, curve.y, curve.z] + [a for a in extra if a is not None]
-    row = ",".join(["%r"] * 4 + ["" if a is None else "%r" for a in extra]) + "\r\n"
+    fields = [curve.s, curve.x, curve.y, curve.z, curve.kappa, curve.momentum]
+    cols = [i for i, f in enumerate(fields) if f is not None]
+    # one comma per field boundary, so an unset field stays empty
+    seps = [b"," * (b - a) for a, b in zip(cols, cols[1:])]
+    end = b"," * (len(fields) - 1 - cols[-1]) + b"\r\n"
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(CSV_HEADER) + "\r\n")
+        with open(path, "wb") as fh:
+            fh.write(",".join(CSV_HEADER).encode() + b"\r\n")
             for i in range(0, len(curve), WRITE_CHUNK_ROWS):
-                chunk = zip(*(c[i : i + WRITE_CHUNK_ROWS].tolist() for c in cols))
-                fh.writelines(row % r for r in chunk)
+                block = np.column_stack([fields[c][i : i + WRITE_CHUNK_ROWS] for c in cols])
+                fh.write(float_records(block, b"", seps, end))
     except OSError as exc:
         raise IOFailure(str(exc)) from exc

@@ -1,9 +1,11 @@
-"""Functions only the tests use: file readers, the row-by-row OBJ reference,
-z-rotation alignment, the two geographic-form differentials dlambda/dphi of
-a quadric profile, an adaptive-quadrature reference for the arc-length chart
-and the seeded coverage grids of the moduli plane."""
+"""Functions only the tests use: file readers, the row-by-row CSV, OBJ and
+float-record references, z-rotation alignment, the two geographic-form
+differentials dlambda/dphi of a quadric profile, an adaptive-quadrature
+reference for the arc-length chart and the seeded coverage grids of the
+moduli plane."""
 
 import csv
+import io
 
 import numpy as np
 from scipy.integrate import quad
@@ -50,6 +52,26 @@ def read_obj(path) -> Mesh:
     return Mesh(
         vertices=np.array(verts, dtype=float).reshape(-1, 3),
         faces=np.array(faces, dtype=int).reshape(-1, 3),
+    )
+
+
+def csv_reference(curve: SampledCurve) -> bytes:
+    """The bytes write_curve_csv must produce: csv.writer rows of repr fields."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["s", "x", "y", "z", "kappa", "momentum"])
+    for i in range(len(curve)):
+        row = [repr(float(curve.s[i]))] + [repr(float(v)) for v in curve.points[i]]
+        for col in (curve.kappa, curve.momentum):
+            row.append("" if col is None else repr(float(col[i])))
+        writer.writerow(row)
+    return buf.getvalue().encode()
+
+
+def records_reference(block, head: bytes, sep: bytes, end: bytes) -> bytes:
+    """The bytes float_records must produce, formatted one float at a time."""
+    return b"".join(
+        head + sep.join(repr(v).encode() for v in row) + end for row in np.asarray(block).tolist()
     )
 
 

@@ -13,7 +13,14 @@ import spheriq
 from spheriq import cli
 from spheriq.cli import main
 
-from helpers import COVERAGE_GRIDS, coverage_pairs, obj_reference, read_obj
+from helpers import (
+    COVERAGE_GRIDS,
+    coverage_pairs,
+    csv_reference,
+    obj_reference,
+    read_curve_csv,
+    read_obj,
+)
 
 SRC = str(Path(spheriq.__file__).resolve().parents[1])
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
@@ -67,6 +74,12 @@ class TestConic:
         assert code == 0 and path.exists()
         header = path.read_text().splitlines()[0]
         assert header == "s,x,y,z,kappa,momentum"
+
+    def test_csv_bytes_match_reference(self, tmp_path, capsys):
+        path = tmp_path / "conic.csv"
+        code, _ = run_json(capsys, ["conic", "--horizontal", "0.6", "0.4", "--csv", str(path)])
+        assert code == 0
+        assert path.read_bytes() == csv_reference(read_curve_csv(path))
 
     @pytest.mark.parametrize(
         "c, d",
@@ -122,6 +135,15 @@ class TestReconstruct:
         assert len(rep["curves"]) == 2
         assert (tmp_path / "bands_0.csv").exists()
         assert (tmp_path / "bands_1.csv").exists()
+
+    def test_type_i_fine_step_csv_bytes_match_reference(self, tmp_path, capsys):
+        path = tmp_path / "bands.csv"
+        argv = ["reconstruct", "--quadric", "-1.5", "6", "--csv", str(path), "--step", "2.5e-4"]
+        code, rep = run_json(capsys, argv)
+        assert code == 0 and len(rep["curves"]) == 2
+        for band in ("bands_0.csv", "bands_1.csv"):
+            written = tmp_path / band
+            assert written.read_bytes() == csv_reference(read_curve_csv(written))
 
     @pytest.mark.parametrize(
         "flags",
@@ -359,6 +381,26 @@ class TestInProcessCalls:
         finally:
             gc.enable()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", [
+        ["conic", "--horizontal", "0.6", "0.4"],
+        ["reconstruct", "--quadric", "-1.5", "5"],
+        ["quadric", "--quadric", "0.5", "0.5"],
+    ], ids=["conic", "reconstruct", "quadric"])
+    def test_reports_are_indented_json_without_cyclic_garbage(self, capsys, command):
+        # json's indenting encoder left its closures in reference cycles
+        argv = command + ["--json"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert capsys.readouterr().out == text
 
 
 class TestImports:

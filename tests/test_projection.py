@@ -239,6 +239,15 @@ class TestObj:
         write_obj(mesh, path)
         assert path.read_bytes() == obj_reference(mesh)
 
+    def test_vertex_values_left_to_repr_match_reference(self, tmp_path):
+        # zeros, powers of two and magnitudes outside [1e-4, 1e16) are
+        # formatted by repr inside the same block as kernel-decided values
+        values = [0.0, -0.0, 0.5, -2.0, 1e-5, -3e-300, 1e16, 2.5e17, 0.1, -1.0 / 3, 1e-4, 7.0]
+        mesh = Mesh(vertices=np.resize(values, (WRITE_CHUNK_ROWS + 7, 3)), faces=[[0, 1, 2]])
+        path = tmp_path / "values.obj"
+        write_obj(mesh, path)
+        assert path.read_bytes() == obj_reference(mesh)
+
     def test_remapped_faces_match_reference(self, tmp_path):
         # the pole vertices are culled, so faces are remapped and area-filtered
         S = make_degenerate(SurfaceFamily.EQUATORIAL)

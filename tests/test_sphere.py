@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,10 +5,12 @@ from numpy.testing import assert_allclose
 from spheriq.errors import DegenerateInput, TooFewSamples
 from spheriq.sphere import (
     WRITE_CHUNK_ROWS,
+    _shortest_digits,
     GeoCoord,
     SampledCurve,
     cartesian_to_geo,
     check_unit,
+    float_records,
     geo_arrays_to_points,
     geodesic_distance,
     great_circle_point,
@@ -21,7 +21,7 @@ from spheriq.sphere import (
     write_curve_csv,
 )
 
-from helpers import read_curve_csv
+from helpers import csv_reference, read_curve_csv, records_reference
 
 NORTH = np.array([0.0, 0.0, 1.0])
 EX = np.array([1.0, 0.0, 0.0])
@@ -183,6 +183,13 @@ class TestResample:
         n = min(len(base), len(again))
         assert np.max(np.linalg.norm(base.points[:n] - again.points[:n], axis=1)) < 1e-9
 
+    def test_repeated_points_dropped(self):
+        base = great_circle_curve(np.pi / 3, step=2e-3).points[::50]
+        repeated = np.repeat(base, [1, 3] * (len(base) // 2) + [1] * (len(base) % 2), axis=0)
+        want = resample_by_arclength(base, 1e-3)
+        got = resample_by_arclength(repeated, 1e-3)
+        assert np.array_equal(got.s, want.s) and np.array_equal(got.points, want.points)
+
     def test_degenerate_input(self):
         pts = np.tile(NORTH, (5, 1))
         with pytest.raises(DegenerateInput):
@@ -228,17 +235,23 @@ class TestCsv:
         if invariants:
             c = invariants_from_samples(c)
         assert len(c) > WRITE_CHUNK_ROWS
-        path, ref = tmp_path / "curve.csv", tmp_path / "ref.csv"
+        path = tmp_path / "curve.csv"
         write_curve_csv(c, path)
-        with open(ref, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["s", "x", "y", "z", "kappa", "momentum"])
-            for i in range(len(c)):
-                row = [repr(float(c.s[i]))] + [repr(float(v)) for v in c.points[i]]
-                for col in (c.kappa, c.momentum):
-                    row.append("" if col is None else repr(float(col[i])))
-                writer.writerow(row)
-        assert path.read_bytes() == ref.read_bytes()
+        assert path.read_bytes() == csv_reference(c)
+
+    @pytest.mark.parametrize("extra", [0, 1, 2, WRITE_CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("fields", ["kappa", "momentum", "both", "neither"])
+    def test_chunk_edges_and_blank_fields_match_reference(self, tmp_path, extra, fields):
+        # row counts end just before, on and past a block edge; an unset
+        # invariant leaves its field blank, also when the other one follows it
+        c = invariants_from_samples(small_circle_curve(0.7, step=2e-3))
+        n = WRITE_CHUNK_ROWS + extra
+        kappa = c.kappa[:n] if fields in ("kappa", "both") else None
+        momentum = c.momentum[:n] if fields in ("momentum", "both") else None
+        curve = SampledCurve(s=c.s[:n], points=c.points[:n], kappa=kappa, momentum=momentum)
+        path = tmp_path / "curve.csv"
+        write_curve_csv(curve, path)
+        assert path.read_bytes() == csv_reference(curve)
 
     def test_missing_fields_blank(self, tmp_path):
         c = great_circle_curve(0.9, step=1e-2)
@@ -249,3 +262,76 @@ class TestCsv:
         assert lines[1].endswith(",,")
         back = read_curve_csv(path)
         assert back.kappa is None and back.momentum is None
+
+
+def float_battery(seed=20261019):
+    """Named float arrays of every class float_records must write as repr does."""
+    rng = np.random.default_rng(seed)
+    tiny = np.finfo(float).tiny
+    decades = 10.0 ** np.arange(-5, 18)
+    near_decades = np.concatenate(
+        [np.nextafter(decades, 0.0), decades, np.nextafter(decades, np.inf), [1e-4, 1e16]]
+    )
+    return {
+        "specials": np.array(
+            [0.0, -0.0, 5e-324, -5e-324, tiny, np.nextafter(tiny, 0.0), tiny / 3,
+             np.finfo(float).max, -np.finfo(float).max, np.inf, -np.inf, np.nan]
+        ),
+        "powers of two": np.ldexp(1.0, np.arange(-1074, 1024)) * rng.choice([-1.0, 1.0], 2098),
+        "around powers of ten": np.concatenate([near_decades, -near_decades]),
+        "short decimals": rng.integers(1, 10**6, 200_000) / 10.0 ** rng.integers(0, 12, 200_000),
+        "float32": rng.uniform(-50, 50, 200_000).astype(np.float32).astype(float),
+        "steps of 2.5e-4": np.arange(100_000) * 2.5e-4,
+        "steps of 1e-3": np.arange(100_000) * 1e-3,
+        "uniform (-1, 1)": rng.uniform(-1, 1, 1_000_000),
+        "uniform (-20, 20)": rng.uniform(-20, 20, 1_000_000),
+        "log-uniform 1e-6..1e18": np.exp(rng.uniform(np.log(1e-6), np.log(1e18), 1_000_000))
+        * rng.choice([-1.0, 1.0], 1_000_000),
+    }
+
+
+FLOAT_CLASSES = (
+    "specials", "powers of two", "around powers of ten", "short decimals", "float32",
+    "steps of 2.5e-4", "steps of 1e-3", "uniform (-1, 1)", "uniform (-20, 20)",
+    "log-uniform 1e-6..1e18",
+)
+
+
+@pytest.fixture(scope="module")
+def battery():
+    floats = float_battery()
+    assert tuple(floats) == FLOAT_CLASSES
+    return floats
+
+
+class TestFloatRecords:
+    @pytest.mark.parametrize("name", FLOAT_CLASSES)
+    def test_battery_matches_repr(self, battery, name):
+        v = battery[name]
+        block = np.resize(v, (-(-len(v) // 3), 3))
+        for i in range(0, len(block), WRITE_CHUNK_ROWS):
+            rows = block[i : i + WRITE_CHUNK_ROWS]
+            want = records_reference(rows, b"v ", b" ", b"\n")
+            assert float_records(rows, b"v ", b" ", b"\n") == want
+
+    @pytest.mark.parametrize("name", ["uniform (-1, 1)", "log-uniform 1e-6..1e18"])
+    def test_kernel_decides_all_but_a_few(self, battery, name):
+        # repr formats only what the kernel leaves undecided: here the
+        # decisions within 1e-9 of a boundary, a few per million
+        v = battery[name]
+        v = v[(np.abs(v) >= 1e-4) & (np.abs(v) < 1e16)]
+        _, _, exact = _shortest_digits(v)
+        assert np.count_nonzero(~exact) <= 1e-4 * len(v)
+
+    def test_separators_per_gap_head_and_end(self):
+        block = np.array([[0.5, -1e-5, 3.0, 1e300], [-0.0, 2.5e-4, 1e16, 123.456]])
+        got = float_records(block, b"[", [b",", b",,", b";"], b"]\r\n")
+        want = b"".join(
+            b"[" + b"%r,%r,,%r;%r" % tuple(row) + b"]\r\n" for row in block.tolist()
+        )
+        assert got == want
+
+    def test_one_column_and_empty_blocks(self, battery):
+        col = battery["uniform (-20, 20)"][:1000, None]
+        assert float_records(col, b"", b",", b"\n") == records_reference(col, b"", b",", b"\n")
+        assert float_records(np.zeros((0, 3)), b"v ", b" ", b"\n") == b""
