@@ -210,8 +210,8 @@ def cmd_quadric(args) -> dict:
     surface = make_quadric_surface(MomentumCoeffs(mu, c))
     report = _base_report("quadric", args)
     report.update(quadric_spec_to_json(surface.quadric))
-    mesh = mesh_from_surface(surface, ns=96, nt=96, project=bool(args.obj))
     if args.obj:
+        mesh = mesh_from_surface(surface, ns=96, nt=96, project=True)
         write_obj(mesh, args.obj)
         report["obj"] = args.obj
         report["vertices"] = len(mesh.vertices)

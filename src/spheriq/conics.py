@@ -62,6 +62,10 @@ NONDEGENERATE = {
     ConicClass.PARABOLA_II,
 }
 
+# each essential type with its parabola boundary
+TYPE_I_CLASSES = {ConicClass.TYPE_I, ConicClass.PARABOLA_I}
+TYPE_II_CLASSES = {ConicClass.TYPE_II, ConicClass.PARABOLA_II}
+
 
 class FocalAxis(enum.Enum):
     FOCI_ON_EQUATOR = "FociOnEquator"
@@ -406,7 +410,12 @@ def horizontal_squares(mu: float, c: float) -> tuple[float, float]:
 
 
 def region_of(mc: MomentumCoeffs) -> ConicClass:
-    """Locate (mu, c) in the moduli plane of conic classes."""
+    """Locate (mu, c) in the moduli plane of conic classes.
+
+    The one test of (mu, c) against the region boundaries: the momentum
+    band, the cubic case tree and the quadric records all branch on the
+    class returned here.  Raises OutOfRegion outside every region.
+    """
     mu, c = mc.mu, mc.c
     if mu == 0.0:
         if c > 1.0:

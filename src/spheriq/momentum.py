@@ -21,15 +21,16 @@ from math import comb
 
 import numpy as np
 
-from .conics import MomentumCoeffs, discriminant, turning_squares
+from .conics import TYPE_I_CLASSES, ConicClass, MomentumCoeffs, region_of, turning_squares
 from .errors import (
     BadParameter,
     DegenerateInput,
     NoFeasibleRegion,
     OutOfDomain,
+    OutOfRegion,
     QuadratureFailure,
 )
-from .sphere import SampledCurve, geo_arrays_to_points, invariants_from_samples
+from .sphere import SampledCurve, check_sample_count, geo_arrays_to_points, invariants_from_samples
 
 _DOUBLE_ZERO_TOL = 1e-8
 
@@ -149,20 +150,21 @@ class QuadricMomentum(MomentumProfile):
 
     def turning_points(self):
         # g (mu + c t) = q(t) = -c t^2 + (c - mu - 1) t + mu with q(0) = mu and
-        # q(1) = -1, and g -> -inf where mu + c t -> 0+.  For mu > 0 the band
-        # runs from the equator to the first positive root of q; for mu < 0 it
-        # lies between both roots, which are real and inside the domain
-        # mu + c t > 0 exactly on region I.
-        mu, c = self.mu, self.c
-        mc = MomentumCoeffs(mu, c)
-        if mu > 0.0:
-            if c == 0.0:
-                return 0.0, mu / (mu + 1.0)
-            t1, t2 = turning_squares(mc)
-            return 0.0, (t2 if c > 0.0 else t1)
-        if c > 0.0 and mu + c > 1.0 and discriminant(mc) > 0.0:
-            return turning_squares(mc)
-        raise NoFeasibleRegion("K(z)^2 + z^2 < 1 holds nowhere")
+        # q(1) = -1, and g -> -inf where mu + c t -> 0+.  On the umbilical line
+        # c = 0 q is linear; on types II and III (mu > 0) the band runs from the
+        # equator to the first positive root of q; on type I (mu < 0) it lies
+        # between both roots, which are real and inside the domain mu + c t > 0.
+        mc = MomentumCoeffs(self.mu, self.c)
+        try:
+            region = region_of(mc)
+        except OutOfRegion:
+            raise NoFeasibleRegion("K(z)^2 + z^2 < 1 holds nowhere") from None
+        if region is ConicClass.DEGENERATE_SMALL_CIRCLE:
+            return 0.0, self.mu / (self.mu + 1.0)
+        t1, t2 = turning_squares(mc)
+        if region in TYPE_I_CLASSES:
+            return t1, t2
+        return 0.0, (t1 if region is ConicClass.TYPE_III else t2)
 
     def h_factor(self, z, z_lo, z_hi):
         # g (mu + c z^2) = -c (z^2 - r1)(z^2 - r2); the interval endpoints are
@@ -508,6 +510,7 @@ def reconstruct(
         raise DegenerateInput("need at least one branch")
     rm = ReconstructionMap(p, iv, lambda0=lambda0)
     total = branches * rm.branch_length
+    check_sample_count(total, step)
     n = int(np.floor(total / step)) + 1
     if n < 5:
         raise DegenerateInput(

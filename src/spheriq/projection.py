@@ -217,13 +217,19 @@ def mesh_from_surface(
 
 
 def euler_characteristic(mesh: Mesh) -> int:
-    """V - E + F with shared edges counted once."""
-    edges = np.concatenate(
-        [mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]], mesh.faces[:, [2, 0]]]
-    )
-    edges = np.unique(np.sort(edges, axis=1), axis=0)
-    used = np.unique(mesh.faces)
-    return int(len(used) - len(edges) + len(mesh.faces))
+    """V - E + F with shared edges counted once.
+
+    No np.unique: its first call in a process costs ~1.25 MiB of resident
+    memory.  Vertices are counted by np.bincount, and each edge (i, j), i < j,
+    is the int64 key i n + j, so that equal edges sort next to each other.
+    """
+    counts = np.bincount(mesh.faces.ravel())
+    n = len(counts)
+    edges = np.sort(mesh.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    edges = edges.astype(np.int64, copy=False)
+    keys = np.sort(edges[:, 0] * n + edges[:, 1])
+    distinct = np.count_nonzero(keys[1:] != keys[:-1]) + min(len(keys), 1)
+    return int(np.count_nonzero(counts) - distinct + len(mesh.faces))
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,27 @@ def slerp(p: np.ndarray, q: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out / np.linalg.norm(out, axis=-1, keepdims=True)
 
 
+# the most steps one sampled curve may take: `reconstruct --constant 0.5` at
+# the smallest step allowed (2**20 + 1 samples) raised ru_maxrss by 160 MiB
+# on a 2-vCPU Xeon VM
+MAX_SAMPLES = 2**20
+
+
+def check_sample_count(length: float, step: float) -> None:
+    """Raise DegenerateInput if `length` / `step` exceeds MAX_SAMPLES.
+
+    The ratio is compared as a float, before any sample count is rounded or
+    allocated, so that no step, however small, overflows the count.
+    """
+    ratio = float(length) / float(step)
+    if not ratio <= MAX_SAMPLES:
+        raise DegenerateInput(
+            f"step {step!r} needs {ratio:.4g} samples on length {float(length):.6g}, "
+            f"more than the cap of {MAX_SAMPLES}; the smallest step allowed is "
+            f"{float(length) / MAX_SAMPLES!r}"
+        )
+
+
 def resample_by_arclength(points: np.ndarray, target_step: float) -> SampledCurve:
     """Re-sample a point chain at uniform arc steps of geodesic chord length."""
     pts = np.asarray(points, dtype=float)
@@ -270,6 +291,7 @@ def resample_by_arclength(points: np.ndarray, target_step: float) -> SampledCurv
         seg = geodesic_distance(pts[:-1], pts[1:])
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = cum[-1]
+    check_sample_count(total, target_step)
     n_out = int(np.floor(total / target_step + 1e-9)) + 1
     if n_out < 3:
         raise TooFewSamples("target_step too large for the chain length")

@@ -22,6 +22,9 @@ from functools import partial
 import numpy as np
 
 from .conics import (
+    NONDEGENERATE,
+    TYPE_I_CLASSES,
+    TYPE_II_CLASSES,
     ConicClass,
     CylinderConic,
     MomentumCoeffs,
@@ -38,7 +41,6 @@ from .errors import (
 )
 from .momentum import (
     ConstantMomentum,
-    FeasibleInterval,
     LinearMomentum,
     MomentumProfile,
     QuadricMomentum,
@@ -233,29 +235,36 @@ def principal_curvatures_richardson(
 # ---------------------------------------------------------------------------
 
 
+# signs (s_a, s_b) of each family's x2 equation r^2 = s_a alpha^2 + s_b beta^2 x2^2
+_X2_SIGNS = {
+    SurfaceFamily.QUADRIC_I: (1.0, 1.0),
+    SurfaceFamily.QUADRIC_IIA: (-1.0, 1.0),
+    SurfaceFamily.QUADRIC_IIB: (1.0, -1.0),
+    SurfaceFamily.QUADRIC_III: (1.0, -1.0),
+}
+
+
+def _x1_form(r2, x1, alpha_hat2: float, beta_hat2: float, sign: float = 1.0):
+    """Residual of the common form r^2 = sign (alpha_hat^2 - beta_hat^2 x1^2)."""
+    return r2 - sign * (alpha_hat2 - beta_hat2 * x1 * x1)
+
+
 def quadric_residuals(spec: QuadricSpec, q: np.ndarray) -> dict:
     """Residuals of the quadric's family (x2) and common (x1) equations at q."""
     q = np.asarray(q, dtype=float)
     r2 = q[..., 2] ** 2 + q[..., 3] ** 2
     x1, x2 = q[..., 0], q[..., 1]
-    fam = spec.family
-    a2, b2 = spec.alpha2, spec.beta2
-    out: dict = {}
-    if fam is SurfaceFamily.QUADRIC_I:
-        out["x2_form"] = r2 - (a2 + b2 * x2 * x2)
-    elif fam is SurfaceFamily.QUADRIC_IIA:
-        out["x2_form"] = r2 - (-a2 + b2 * x2 * x2)
-    else:  # IIb and III share the ellipse-like sign pattern
-        out["x2_form"] = r2 - (a2 - b2 * x2 * x2)
-    if fam is SurfaceFamily.QUADRIC_IIB:
-        out["x1_form"] = r2 - (spec.beta_hat2 * x1 * x1 - spec.alpha_hat2)
-    else:
-        out["x1_form"] = r2 - (spec.alpha_hat2 - spec.beta_hat2 * x1 * x1)
-    return out
+    s_a, s_b = _X2_SIGNS[spec.family]
+    sign = -1.0 if spec.family is SurfaceFamily.QUADRIC_IIB else 1.0
+    return {
+        "x2_form": r2 - (s_a * spec.alpha2 + s_b * spec.beta2 * x2 * x2),
+        "x1_form": _x1_form(r2, x1, spec.alpha_hat2, spec.beta_hat2, sign),
+    }
 
 
 def implicit_residuals(surface: RotationalSurface, q: np.ndarray) -> dict:
-    """All implicit-form residuals available for the surface family at q."""
+    """All implicit-form residuals available for the surface family at q; the
+    degenerate families take alpha_hat2 and beta_hat2 from their params."""
     fam = surface.family
     if fam in QUADRIC_FAMILIES and surface.quadric is not None:
         return quadric_residuals(surface.quadric, q)
@@ -264,24 +273,13 @@ def implicit_residuals(surface: RotationalSurface, q: np.ndarray) -> dict:
     q = np.asarray(q, dtype=float)
     r2 = q[..., 2] ** 2 + q[..., 3] ** 2
     x1, x2 = q[..., 0], q[..., 1]
-    out: dict = {}
     if fam is SurfaceFamily.FAKE_PARABOLOID:
-        out["x2_form"] = r2 - 2.0 * surface.params["a"] * x2
-        return out
-    # degenerate families: common x1 form, plus the cone form for moons
-    if fam is SurfaceFamily.EQUATORIAL:
-        out["x1_form"] = r2 - (1.0 - x1 * x1)
-    elif fam is SurfaceFamily.UMBILICAL:
-        r_delta2 = 1.0 / np.cosh(surface.params["delta"]) ** 2
-        out["x1_form"] = r2 - (r_delta2 - x1 * x1)
-    elif fam is SurfaceFamily.STANDARD_TORUS:
-        out["x1_form"] = r2 - np.sin(surface.params["phi0"]) ** 2
-    elif fam is SurfaceFamily.SPHERICAL_MOON:
-        th = surface.params["theta"]
-        out["x2_form"] = r2 - np.tan(th) ** 2 * x2 * x2
-        out["x1_form"] = r2 - np.sin(th) ** 2 * (1.0 - x1 * x1)
-    else:
+        return {"x2_form": r2 - 2.0 * surface.params["a"] * x2}
+    if "alpha_hat2" not in surface.params:
         raise NoImplicitForm(f"no implicit form for {fam.value}")
+    out = {"x1_form": _x1_form(r2, x1, surface.params["alpha_hat2"], surface.params["beta_hat2"])}
+    if fam is SurfaceFamily.SPHERICAL_MOON:
+        out["x2_form"] = r2 - np.tan(surface.params["theta"]) ** 2 * x2 * x2
     return out
 
 
@@ -293,35 +291,35 @@ def implicit_residuals(surface: RotationalSurface, q: np.ndarray) -> dict:
 def make_quadric(mc: MomentumCoeffs, prolate: bool = False) -> QuadricSpec:
     """Quadric-surface record for momentum coefficients in a valid region.
 
-    With prolate=True a type-II pair is emitted as the prolate ellipsoid
-    (family IIb, vertical cylinder with A < 1 < B) instead of the
-    two-piece hyperboloid IIa; the two coincide up to a translation along
-    the axis of revolution.
+    Families I, IIa and III share the horizontal-cylinder layout: the common
+    form has alpha_hat^2 = D^2 and beta_hat^2 = D^2 / C^2.  With prolate=True
+    a type-II pair is emitted as the prolate ellipsoid (family IIb, vertical
+    cylinder with A < 1 < B) instead of the two-piece hyperboloid IIa; the
+    two coincide up to a translation along the axis of revolution.
     """
     region = region_of(mc)  # raises OutOfRegion outside the moduli regions
     mu, c = mc.mu, mc.c
-    if region in (ConicClass.TYPE_I, ConicClass.PARABOLA_I):
+    if prolate and region not in TYPE_II_CLASSES:
+        raise OutOfRegion("prolate form exists only for type-II coefficients")
+    if region not in NONDEGENERATE:
+        raise OutOfRegion(f"(mu={mu}, c={c}) is {region.value}, not a quadric region")
+    c2, d2 = horizontal_squares(mu, c)
+    a2 = b2 = None
+    if region is ConicClass.TYPE_III:
+        if not (0 < c2 < 1 < d2):
+            raise OutOfRegion(f"inverse maps left the type-III region: {c2}, {d2}")
+        family = SurfaceFamily.QUADRIC_III
+        alpha2, beta2 = d2 * (1 - c2) / (d2 - c2), d2 / (d2 - c2)
+    else:
         a2, b2 = vertical_squares(mu, c)
-        c2, d2 = horizontal_squares(mu, c)
-        if not (0 < b2 < a2 < 1 and 0 < d2 < 1 < c2):
-            raise OutOfRegion(f"inverse maps left the type-I region: {a2}, {b2}, {c2}, {d2}")
-        spec = QuadricSpec(
-            family=SurfaceFamily.QUADRIC_I,
-            alpha2=1.0 - a2,
-            beta2=(a2 - b2) / b2,
-            alpha_hat2=d2,
-            beta_hat2=d2 / c2,
-            cylinder=CylinderConic.horizontal(np.sqrt(c2), np.sqrt(d2)),
-            momentum=mc,
-            a2=a2, b2=b2, c2=c2, d2=d2,
-        )
-    elif region in (ConicClass.TYPE_II, ConicClass.PARABOLA_II):
-        a2, b2 = vertical_squares(mu, c)
-        c2, d2 = horizontal_squares(mu, c)
-        if not (0 < b2 < 1 < a2 and 0 < d2 < c2 < 1):
+        if region in TYPE_I_CLASSES:
+            if not (0 < b2 < a2 < 1 and 0 < d2 < 1 < c2):
+                raise OutOfRegion(f"inverse maps left the type-I region: {a2}, {b2}, {c2}, {d2}")
+            family = SurfaceFamily.QUADRIC_I
+        elif not (0 < b2 < 1 < a2 and 0 < d2 < c2 < 1):
             raise OutOfRegion(f"inverse maps left the type-II region: {a2}, {b2}, {c2}, {d2}")
-        if prolate:
-            spec = QuadricSpec(
+        elif prolate:
+            return QuadricSpec(
                 family=SurfaceFamily.QUADRIC_IIB,
                 alpha2=1.0 - b2,
                 beta2=(a2 - b2) / a2,
@@ -332,55 +330,28 @@ def make_quadric(mc: MomentumCoeffs, prolate: bool = False) -> QuadricSpec:
                 a2=b2, b2=a2, c2=c2, d2=d2,
             )
         else:
-            spec = QuadricSpec(
-                family=SurfaceFamily.QUADRIC_IIA,
-                alpha2=a2 - 1.0,
-                beta2=(a2 - b2) / b2,
-                alpha_hat2=d2,
-                beta_hat2=d2 / c2,
-                cylinder=CylinderConic.horizontal(np.sqrt(c2), np.sqrt(d2)),
-                momentum=mc,
-                a2=a2, b2=b2, c2=c2, d2=d2,
-            )
-    else:
-        if region is not ConicClass.TYPE_III:
-            raise OutOfRegion(f"(mu={mu}, c={c}) is {region.value}, not a quadric region")
-        if prolate:
-            raise OutOfRegion("prolate form exists only for type-II coefficients")
-        c2, d2 = horizontal_squares(mu, c)
-        if not (0 < c2 < 1 < d2):
-            raise OutOfRegion(f"inverse maps left the type-III region: {c2}, {d2}")
-        spec = QuadricSpec(
-            family=SurfaceFamily.QUADRIC_III,
-            alpha2=d2 * (1 - c2) / (d2 - c2),
-            beta2=d2 / (d2 - c2),
-            alpha_hat2=d2,
-            beta_hat2=d2 / c2,
-            cylinder=CylinderConic.horizontal(np.sqrt(c2), np.sqrt(d2)),
-            momentum=mc,
-            c2=c2, d2=d2,
-        )
-    return spec
-
-
-def _quadric_interval(profile: QuadricMomentum, family: SurfaceFamily) -> FeasibleInterval:
-    ivs = feasible_intervals(profile)
-    if family is SurfaceFamily.QUADRIC_I:
-        pos = [iv for iv in ivs if iv.z_lo > 0]
-        if not pos:
-            raise OutOfRegion("type-I profile lost its positive latitude band")
-        return pos[0]
-    return ivs[0]
+            family = SurfaceFamily.QUADRIC_IIA
+        alpha2, beta2 = abs(1.0 - a2), (a2 - b2) / b2
+    return QuadricSpec(
+        family=family,
+        alpha2=alpha2,
+        beta2=beta2,
+        alpha_hat2=d2,
+        beta_hat2=d2 / c2,
+        cylinder=CylinderConic.horizontal(np.sqrt(c2), np.sqrt(d2)),
+        momentum=mc,
+        a2=a2, b2=b2, c2=c2, d2=d2,
+    )
 
 
 def make_quadric_surface(mc: MomentumCoeffs, prolate: bool = False) -> RotationalSurface:
     """Rotational surface over the canonical conic for coefficients (mu, c)."""
     spec = make_quadric(mc, prolate=prolate)
     profile = QuadricMomentum(mc.mu, mc.c)
-    iv = _quadric_interval(profile, spec.family)
     # longitude origin placing the reconstructed loop on the canonical cylinder
     lambda0 = np.pi / 2 if spec.family is SurfaceFamily.QUADRIC_IIA else 0.0
-    chart = ReconstructionMap(profile, iv, lambda0=lambda0)
+    # the last band is the positive one of type I's two mirrored bands
+    chart = ReconstructionMap(profile, feasible_intervals(profile)[-1], lambda0=lambda0)
     return RotationalSurface(
         family=spec.family,
         profile=chart_profile(chart),

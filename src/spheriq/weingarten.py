@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conics import MomentumCoeffs
+from .conics import ConicClass, MomentumCoeffs, region_of
 from .errors import (
     DegenerateInput,
     IllConditioned,
@@ -118,33 +118,27 @@ def solve_cubic_weingarten(
     """Dispatch (mu, c) through the exact case tree of the cubic relation.
 
     With z_constant the profile is a parallel and mu = -tan^4(phi0) must be
-    negative.  mu = 0 yields the constant-momentum family (spherical moons;
-    the equatorial sphere is its K = 0 member, which only curvature data
-    can single out, see classify_rotational_surface).  c = 0 yields umbilical
-    spheres with mu = 1/sinh^2(delta).
+    negative.  Otherwise region_of decides: mu = 0 yields spherical moons
+    (the equatorial sphere is the K = 0 member, which only curvature data can
+    single out, see classify_rotational_surface), c = 0 umbilical spheres with
+    mu = 1/sinh^2(delta), and the quadric regions a QuadricSpec.
     """
     if z_constant:
         if mu is None or mu >= 0:
             raise OutOfRegion("a standard torus needs mu = -tan^4 phi0 < 0")
         phi0 = float(np.arctan((-mu) ** 0.25))
         return CubicSolveResult(case=SolveCase.STANDARD_TORUS, mu=mu, phi0=phi0)
-    if mu is None:
-        raise DegenerateInput("mu is required unless z is constant")
-    if mu == 0.0:
-        if c is None:
-            return CubicSolveResult(case=SolveCase.SPHERICAL_MOON, mu=0.0)
-        if c > 1.0:
-            theta = float(np.arccos(1.0 / np.sqrt(c)))
-            return CubicSolveResult(case=SolveCase.SPHERICAL_MOON, mu=0.0, c=c, theta=theta)
-        raise OutOfRegion(f"mu=0 needs c > 1, got {c}")
-    if c is None:
-        raise DegenerateInput("c is required when mu != 0")
-    if c == 0.0:
-        if mu <= 0:
-            raise OutOfRegion(f"c=0 needs mu > 0, got {mu}")
+    if mu is None or c is None:
+        raise DegenerateInput("mu and c are required unless z is constant")
+    mc = MomentumCoeffs(mu, c)
+    region = region_of(mc)  # raises OutOfRegion outside the moduli regions
+    if region is ConicClass.DEGENERATE_GREAT_CIRCLE:
+        theta = float(np.arccos(1.0 / np.sqrt(c)))
+        return CubicSolveResult(case=SolveCase.SPHERICAL_MOON, mu=0.0, c=c, theta=theta)
+    if region is ConicClass.DEGENERATE_SMALL_CIRCLE:
         delta = float(np.arcsinh(1.0 / np.sqrt(mu)))
         return CubicSolveResult(case=SolveCase.UMBILICAL_SPHERE, mu=mu, c=0.0, delta=delta)
-    spec = make_quadric(MomentumCoeffs(mu, c))  # raises OutOfRegion if invalid
+    spec = make_quadric(mc)
     return CubicSolveResult(case=SolveCase.NONDEGENERATE_QUADRIC, mu=mu, c=c, spec=spec)
 
 

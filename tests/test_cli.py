@@ -187,6 +187,26 @@ class TestQuadricCommand:
         # read_obj is bit-exact, so the reference formats the mesh as written
         assert path.read_bytes() == obj_reference(read_obj(path))
 
+    def test_mesh_only_with_obj(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        mesh_from_surface = cli.mesh_from_surface
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return mesh_from_surface(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "mesh_from_surface", counted)
+        argv = ["quadric", "--quadric", "0.5", "0.5", "--json"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert calls == []
+        assert main(argv + ["--obj", str(tmp_path / "m.obj")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        # without --obj the report is the --obj one less the mesh's keys, byte for byte
+        del report["obj"], report["vertices"], report["config"]["obj"]
+        assert plain == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
 
 class TestClassifyCommand:
     def test_quadric_iii(self, capsys):
@@ -324,6 +344,27 @@ class TestInvalidInput:
             pytest.param(["verify", *TINY_III], None, id="verify-band-inside-axis-filter"),
             pytest.param(
                 ["quadric", "--quadric", "1", "-1", "--step", "1e-3"], None, id="quadric-step"
+            ),
+            # steps below the sample cap's floor, down to the smallest double
+            pytest.param(
+                ["reconstruct", "--constant", "0.5", "--step", "1e-300"],
+                None,
+                id="reconstruct-step-1e-300",
+            ),
+            pytest.param(
+                ["conic", "--horizontal", "2", "0.5", "--csv", "x.csv", "--step", "1e-300"],
+                None,
+                id="conic-step-1e-300",
+            ),
+            pytest.param(
+                ["reconstruct", "--constant", "0.5", "--step", "5e-324"],
+                None,
+                id="reconstruct-step-5e-324",
+            ),
+            pytest.param(
+                ["conic", "--horizontal", "2", "0.5", "--csv", "x.csv", "--step", "5e-324"],
+                None,
+                id="conic-step-5e-324",
             ),
             pytest.param(
                 ["verify", "--quadric", "1", "-1", "--fake-paraboloid", "1"],

@@ -197,6 +197,11 @@ class TestPrincipalCurvatures:
         assert np.max(np.abs(num.kp - ana.kp)) < 1e-8
 
 
+EQUATORIAL, UMBILICAL = SurfaceFamily.EQUATORIAL, SurfaceFamily.UMBILICAL
+STANDARD_TORUS, SPHERICAL_MOON = SurfaceFamily.STANDARD_TORUS, SurfaceFamily.SPHERICAL_MOON
+X1, X1_X2 = ["x1_form"], ["x1_form", "x2_form"]
+
+
 class TestImplicitForms:
     def test_quadric_i_hat_coefficients(self):
         spec = make_quadric(MomentumCoeffs(-1 / 12, 5 / 3))
@@ -221,6 +226,38 @@ class TestImplicitForms:
         lo, hi = S.s_domain
         X = surface_point(S, np.linspace(lo, hi, 41), 0.3)
         assert np.max(np.abs(implicit_residuals(S, X)["x2_form"])) < 1e-10
+
+    # every family with an implicit form, and the forms it has
+    @pytest.mark.parametrize(
+        "make, forms",
+        [
+            pytest.param(lambda: make_degenerate(EQUATORIAL), X1, id="equatorial"),
+            pytest.param(lambda: make_degenerate(UMBILICAL, 0.4), X1, id="umbilical-0.4"),
+            pytest.param(lambda: make_degenerate(UMBILICAL, 2.0), X1, id="umbilical-2"),
+            pytest.param(lambda: make_degenerate(STANDARD_TORUS, 0.3), X1, id="torus-0.3"),
+            pytest.param(lambda: make_degenerate(STANDARD_TORUS, 1.2), X1, id="torus-1.2"),
+            pytest.param(lambda: make_degenerate(SPHERICAL_MOON, 0.7), X1_X2, id="moon-0.7"),
+            pytest.param(lambda: make_degenerate(SPHERICAL_MOON, 2.2), X1_X2, id="moon-2.2"),
+            pytest.param(lambda: make_quadric_surface(MomentumCoeffs(-1.5, 5.5)), X1_X2, id="I"),
+            pytest.param(lambda: make_quadric_surface(MomentumCoeffs(0.7, 1.1)), X1_X2, id="IIa"),
+            pytest.param(
+                lambda: make_quadric_surface(MomentumCoeffs(0.7, 1.1), prolate=True),
+                X1_X2,
+                id="IIb",
+            ),
+            pytest.param(lambda: make_quadric_surface(MomentumCoeffs(0.5, -2.0)), X1_X2, id="III"),
+            pytest.param(lambda: make_fake_paraboloid(-0.8), ["x2_form"], id="fake-paraboloid"),
+        ],
+    )
+    def test_forms_vanish_on_every_family(self, make, forms):
+        S = make()
+        lo, hi = S.s_domain
+        s = np.linspace(lo, hi, 37)
+        X = surface_point(S, s[:, None], np.linspace(-np.pi, np.pi, 11)[None, :])
+        res = implicit_residuals(S, X)
+        assert sorted(res) == forms
+        for form in forms:
+            assert np.max(np.abs(res[form])) < 1e-10, form
 
     def test_moon_cone_form(self):
         theta = np.pi / 3
@@ -257,6 +294,12 @@ class TestMakeQuadric:
     def test_out_of_region(self):
         with pytest.raises(OutOfRegion):
             make_quadric(MomentumCoeffs(-0.5, 1.2))
+
+    @pytest.mark.parametrize("mu, c", [(-1.5, 5.0), (-0.5, 3.0), (1.0, -1.0)])
+    def test_prolate_needs_type_ii(self, mu, c):
+        # type I (a parabola and an interior pair) and type III have no prolate form
+        with pytest.raises(OutOfRegion, match="prolate form exists only for type-II"):
+            make_quadric(MomentumCoeffs(mu, c), prolate=True)
 
     def test_tiny_mu_pairs_accepted(self):
         # C^2 rounds to within an ulp of 1 here; the squares checks still hold
