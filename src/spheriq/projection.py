@@ -149,10 +149,16 @@ class Mesh:
 
 
 def _triangle_areas(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    if verts.shape[1] == 3:
+        # one gather into rows per coordinate and corner; |a x b| with the
+        # products and sums in np.cross's and np.linalg.norm's order
+        corners = np.ascontiguousarray(verts.T)[:, faces.T]
+        a0, a1, a2 = corners[:, 1] - corners[:, 0]
+        b0, b1, b2 = corners[:, 2] - corners[:, 0]
+        cx, cy, cz = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        return 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
     a = verts[faces[:, 1]] - verts[faces[:, 0]]
     b = verts[faces[:, 2]] - verts[faces[:, 0]]
-    if verts.shape[1] == 3:
-        return 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
     # 4D: area from the Gram determinant
     gram = (
         np.einsum("ij,ij->i", a, a) * np.einsum("ij,ij->i", b, b)
@@ -237,38 +243,41 @@ def euler_characteristic(mesh: Mesh) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _face_records(idx: np.ndarray) -> bytes:
-    """The bytes of "f %d %d %d\\n" per row of positive integers idx (n x 3).
+_DIGIT_BYTES = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 
-    Each index is written right-aligned into a uint8 row matrix whose digit
-    fields are as wide as the block's widest index, with 'f', the spaces and
-    the newline in fixed columns.  A leading pad position, where the digits
-    left to write are all zero, holds the byte 0, which the final boolean
-    mask drops.
+
+def _index_table(n: int) -> np.ndarray:
+    """The text " %d" of the vertex numbers 1 ... n, one uint8 row each: a
+    space in column 0, then the digits right-aligned in as many columns as n
+    has.  The pad bytes between them are 0.
+
+    The digits at place value p of 0, 1, ..., n cycle through "0" ... "9",
+    each repeated p times; the numbers below p get a pad byte there.  Every
+    array is uint8 and at most 2 n + 1 long.
     """
-    width, power = 1, 10
-    while (idx >= power).any():
-        width, power = width + 1, power * 10
-    step = width + 1  # one field: ' ' and `width` digit columns
-    buf = np.zeros((len(idx), 3 * step + 2), dtype=np.uint8)
-    buf[:, 0], buf[:, 1::step], buf[:, -1] = ord("f"), ord(" "), ord("\n")
-    rest = idx
-    for col in range(width + 1, 1, -1):  # digit columns, right to left
-        quot = rest // 10
-        buf[:, col::step] = (rest - 10 * quot + ord("0")) * (rest > 0)
-        rest = quot
-    return buf[buf > 0].tobytes()
+    width = len(str(n))
+    tab = np.zeros((n, width + 1), np.uint8)
+    tab[:, 0] = ord(" ")
+    for k in range(width):
+        place = 10**k
+        col = np.resize(np.repeat(_DIGIT_BYTES[: n // place + 1], place), n + 1)
+        col[:place] = 0
+        tab[:, width - k] = col[1:]
+    return tab
 
 
 def write_obj(mesh: Mesh, path) -> None:
     """Write an ASCII OBJ: "v x y z" records with shortest round-trip floats,
     then "f i j k" records with 1-based indices, "\\n" line ends everywhere.
 
-    Both record kinds are formatted a WRITE_CHUNK_ROWS block at a time by
-    numpy kernels, one bytes string and one write per block: vertices by
-    `sphere.float_records`, whose bytes equal "v %r %r %r\\n" per row, faces
-    by `_face_records`, whose bytes equal "f %d %d %d\\n" per row. A mesh
-    without faces writes the vertex records only.
+    Both record kinds are formatted a WRITE_CHUNK_ROWS block at a time, one
+    bytes string and one write per block.  Vertex records come from
+    `sphere.float_records`, whose bytes equal "v %r %r %r\\n" per row.  Face
+    records come from one `_index_table` of the vertex numbers, built once
+    per call: a block of faces is 'f', the table rows of its three indices
+    and '\\n' in one uint8 matrix, whose 0 pad bytes a boolean mask drops, so
+    its bytes equal "f %d %d %d\\n" per row.  A mesh without faces writes the
+    vertex records only.
     """
     if mesh.vertices.size and mesh.vertices.shape[1] != 3:
         raise IOFailure("OBJ output needs 3-vector vertices; project the mesh first")
@@ -277,7 +286,12 @@ def write_obj(mesh: Mesh, path) -> None:
             for i in range(0, len(mesh.vertices), WRITE_CHUNK_ROWS):
                 block = mesh.vertices[i : i + WRITE_CHUNK_ROWS]
                 fh.write(float_records(block, b"v ", b" ", b"\n"))
+            tab = _index_table(len(mesh.vertices))
             for i in range(0, len(mesh.faces), WRITE_CHUNK_ROWS):
-                fh.write(_face_records(mesh.faces[i : i + WRITE_CHUNK_ROWS] + 1))
+                faces = mesh.faces[i : i + WRITE_CHUNK_ROWS]
+                buf = np.empty((len(faces), 3 * tab.shape[1] + 2), np.uint8)
+                buf[:, 0], buf[:, -1] = ord("f"), ord("\n")
+                buf[:, 1:-1] = tab[faces].reshape(len(faces), -1)
+                fh.write(buf[buf > 0].tobytes())
     except OSError as exc:
         raise IOFailure(str(exc)) from exc

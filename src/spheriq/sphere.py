@@ -31,6 +31,8 @@ def check_unit(p: np.ndarray, tol: float = UNIT_TOL) -> None:
     """Raise if any point in the trailing axis is off the unit sphere."""
     err = np.abs(np.sum(np.asarray(p) ** 2, axis=-1) - 1.0)
     worst = float(np.max(err))
+    if math.isnan(worst):
+        raise DegenerateInput("point with a NaN coordinate")
     if worst > tol:
         raise DegenerateInput(f"point off unit sphere by {worst:.3e}")
 
@@ -338,15 +340,17 @@ def small_circle_point(delta: float, s) -> np.ndarray:
 CSV_HEADER = ["s", "x", "y", "z", "kappa", "momentum"]
 
 # rows per block of the CSV and OBJ writers: each block is formatted into one
-# bytes string and written at once.  It bounds the kernels' scratch: for a
-# block of n floats, float_records holds a few arrays of 8 n bytes and uint8
-# matrices of at most 32 n bytes, and write_obj's face kernel a uint8 matrix
-# of 3 * (d + 1) + 2 bytes per row for d-digit indices.  The largest, the
-# digit matrix of a six-column CSV block, is 48 KiB, well below glibc's
-# 128 KiB mmap threshold: scratch above it fragmented the heap between the
-# callers' big arrays and raised their peak memory.  512-row blocks ran the
-# kernel ~15 % faster, but doubled its peak memory.
-WRITE_CHUNK_ROWS = 256
+# bytes string and written at once.  float_records pays ~70 numpy calls per
+# block, so larger blocks write faster: the 27,648 vertex floats of a 96x96
+# mesh took 14.4 ms in 256-row blocks, 8.2 in 512, 7.2 in 1,024 and 6.4 in
+# 4,096 (min of 25 calls, 2-vCPU VM).  The block also bounds the kernels'
+# scratch, ~110 bytes per float: the tracemalloc peaks of a 25,030-row CSV
+# and that mesh's OBJ are 364 and 180 KiB at 512 rows (tests pin both), 688
+# and 333 KiB at 1,024.  At equal op counts neither size moved the process
+# peak.  But 1,024-row blocks made conic_survey time 20 % more ops in its
+# 25 s, whose per-op benchmark records then read as +3.5 % peak_rss_mb
+# (medians of ten pairs); 512-row blocks read +13 % goodput and +1.1 %.
+WRITE_CHUNK_ROWS = 512
 
 
 # ---------------------------------------------------------------------------

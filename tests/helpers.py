@@ -1,11 +1,12 @@
 """Functions only the tests use: file readers, the row-by-row CSV, OBJ and
-float-record references, z-rotation alignment, the two geographic-form
-differentials dlambda/dphi of a quadric profile, an adaptive-quadrature
-reference for the arc-length chart and the seeded coverage grids of the
-moduli plane."""
+float-record references, a writer's tracemalloc peak, z-rotation alignment,
+the two geographic-form differentials dlambda/dphi of a quadric profile, an
+adaptive-quadrature reference for the arc-length chart and the seeded
+coverage grids of the moduli plane."""
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 from scipy.integrate import quad
@@ -81,6 +82,18 @@ def obj_reference(mesh: Mesh) -> bytes:
         [f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n" for v in mesh.vertices]
         + [f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n" for f in mesh.faces]
     ).encode()
+
+
+def traced_peak(write, *args) -> int:
+    """Peak bytes that tracemalloc sees allocated during write(*args), above
+    what was allocated when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def align_z_rotation(source: np.ndarray, target: np.ndarray) -> float:

@@ -376,6 +376,10 @@ class TestInvalidInput:
                 None,
                 id="reconstruct-two-profiles",
             ),
+            # a band end of 3.3e-161 makes every sampled point NaN
+            pytest.param(
+                ["reconstruct", "--quadric", "-1e-320", "10"], None, id="reconstruct-nan-samples"
+            ),
         ],
     )
     def test_exit_2_without_traceback(self, argv, seed, tmp_path, monkeypatch, capsys):
@@ -387,7 +391,9 @@ class TestInvalidInput:
         except SystemExit as exc:  # argparse rejects the flag
             code = exc.code
         assert code == 2
-        assert "Traceback" not in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert "NaN" not in out
 
 
 class TestDeterminism:

@@ -16,6 +16,7 @@ from spheriq.projection import (
     stereo_s3,
     write_obj,
 )
+from spheriq.projection import _triangle_areas
 from spheriq.sphere import WRITE_CHUNK_ROWS
 from spheriq.surfaces import (
     SurfaceFamily,
@@ -25,7 +26,7 @@ from spheriq.surfaces import (
     make_quadric_surface,
 )
 
-from helpers import obj_reference, read_obj
+from helpers import obj_reference, read_obj, traced_peak
 
 
 class TestStereo:
@@ -176,8 +177,6 @@ class TestMesh:
     def test_moon_axis_faces_dropped(self):
         S = make_degenerate(SurfaceFamily.SPHERICAL_MOON, np.pi / 3)
         mesh = mesh_from_surface(S, ns=24, nt=24, project=False)
-        from spheriq.projection import _triangle_areas
-
         areas = _triangle_areas(mesh.vertices, mesh.faces)
         assert np.min(areas) >= 1e-14
 
@@ -233,6 +232,18 @@ class TestObj:
         write_obj(mesh, path)
         assert path.read_bytes() == obj_reference(mesh)
 
+    @pytest.mark.parametrize("at_chunk_edge", [False, True], ids=["in-chunk", "chunk-edge"])
+    def test_short_indices_in_wide_table_match_reference(self, tmp_path, at_chunk_edge):
+        # 12,345 vertices make the index table 6 bytes wide, but the faces
+        # name only 1- and 2-digit vertex numbers, so every row keeps pad bytes
+        short = [[0, 9, 98], [98, 8, 0], [9, 9, 9]]
+        faces = short * (WRITE_CHUNK_ROWS // 3 + 1) if at_chunk_edge else short
+        mesh = Mesh(vertices=np.zeros((12_345, 3)), faces=faces)
+        assert (len(mesh.faces) > WRITE_CHUNK_ROWS) == at_chunk_edge
+        path = tmp_path / "short.obj"
+        write_obj(mesh, path)
+        assert path.read_bytes() == obj_reference(mesh)
+
     def test_vertices_without_faces(self, tmp_path):
         mesh = Mesh(vertices=np.eye(3), faces=np.empty((0, 3), dtype=int))
         path = tmp_path / "points.obj"
@@ -256,6 +267,28 @@ class TestObj:
         path = tmp_path / "equatorial.obj"
         write_obj(mesh, path)
         assert path.read_bytes() == obj_reference(mesh)
+
+    @pytest.mark.parametrize("name", ["quadric", "torus", "equatorial"])
+    def test_triangle_areas_match_cross_norm(self, name):
+        # the component-wise cross product is bit-identical to np.cross and norm
+        if name == "equatorial":
+            with pytest.warns(UserWarning, match="culled"):
+                mesh = mesh_from_surface(make_degenerate(SurfaceFamily.EQUATORIAL), 16, 16, True)
+        elif name == "torus":
+            mesh = mesh_from_surface(make_degenerate(SurfaceFamily.STANDARD_TORUS, 0.5), 8, 8, True)
+        else:
+            mesh = mesh_from_surface(make_quadric_surface(MomentumCoeffs(0.5, 0.5)), 48, 48, True)
+        v, f = mesh.vertices, mesh.faces
+        a, b = v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]]
+        want = 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
+        assert np.array_equal(_triangle_areas(v, f), want)
+
+    def test_scratch_memory(self, tmp_path):
+        # WRITE_CHUNK_ROWS sets the peak, the vertex records of one block:
+        # 180 KiB on this 96x96 mesh at 512 rows (102 KiB at 256 rows, 333 KiB
+        # at 1,024); the bound allows 25 % more
+        mesh = mesh_from_surface(make_quadric_surface(MomentumCoeffs(0.5, 0.5)), 96, 96, True)
+        assert traced_peak(write_obj, mesh, tmp_path / "mesh.obj") < 225 * 1024
 
     def test_rejects_4d_vertices(self, tmp_path):
         S = make_degenerate(SurfaceFamily.STANDARD_TORUS, 0.5)

@@ -21,7 +21,7 @@ from spheriq.sphere import (
     write_curve_csv,
 )
 
-from helpers import csv_reference, read_curve_csv, records_reference
+from helpers import csv_reference, read_curve_csv, records_reference, traced_peak
 
 NORTH = np.array([0.0, 0.0, 1.0])
 EX = np.array([1.0, 0.0, 0.0])
@@ -252,6 +252,14 @@ class TestCsv:
         path = tmp_path / "curve.csv"
         write_curve_csv(curve, path)
         assert path.read_bytes() == csv_reference(curve)
+
+    def test_scratch_memory(self, tmp_path):
+        # WRITE_CHUNK_ROWS sets the peak, one block of six-column rows: 364 KiB
+        # at 512 rows on 25,030 rows, about the benchmark's largest curve
+        # (203 KiB at 256 rows, 688 KiB at 1,024); the bound allows 25 % more
+        c = invariants_from_samples(small_circle_curve(0.7, step=2e-4))
+        assert len(c) == 25_030
+        assert traced_peak(write_curve_csv, c, tmp_path / "curve.csv") < 455 * 1024
 
     def test_missing_fields_blank(self, tmp_path):
         c = great_circle_curve(0.9, step=1e-2)
