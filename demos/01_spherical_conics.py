@@ -14,11 +14,10 @@ from spheriq.conics import (
     canonical_residual,
     classify,
     focal_params,
-    horizontal_to_vertical,
     locus_residual,
     momentum_coeffs,
+    other_cylinder,
     sample_loop,
-    vertical_to_horizontal,
 )
 from spheriq.sphere import cartesian_to_geo
 
@@ -59,8 +58,8 @@ for name, conic in conics.items():
 # 3. vertical and horizontal cylinder forms describe the same curve
 # ---------------------------------------------------------------------------
 v = CylinderConic.vertical(0.8, 0.5)
-h = vertical_to_horizontal(v)
-back = horizontal_to_vertical(h)
+h = other_cylinder(v)
+back = other_cylinder(h)
 print("\ncylinder conversions")
 print(f"vertical   (A, B) = ({v.p}, {v.q})")
 print(f"horizontal (C, D) = ({h.p:.6f}, {h.q:.6f})")

@@ -143,48 +143,31 @@ def _lift(radicand: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(radicand, 0.0, None))
 
 
-def param_vertical(conic: CylinderConic, t, hemisphere: int = 1) -> np.ndarray:
-    """(A cos t, B sin t, +/- sqrt(1 - A^2 cos^2 t - B^2 sin^2 t))."""
-    if conic.kind is not ConicKind.VERTICAL:
-        raise DegenerateInput("param_vertical needs a vertical conic")
-    a, b = conic.p, conic.q
+def cylinder_point(conic: CylinderConic, t, hemisphere: int = 1) -> np.ndarray:
+    """Base-plane point (p cos t, q sin t) lifted onto the sphere along the
+    cylinder axis: z for a vertical conic, y for a horizontal one."""
     t = np.asarray(t, dtype=float)
-    x, y = a * np.cos(t), b * np.sin(t)
-    z = hemisphere * _lift(1.0 - x * x - y * y)
-    return np.stack([x, y, z], axis=-1)
+    u, v = conic.p * np.cos(t), conic.q * np.sin(t)
+    w = hemisphere * _lift(1.0 - u * u - v * v)
+    if conic.kind is ConicKind.VERTICAL:
+        return np.stack([u, v, w], axis=-1)
+    return np.stack([u, w, v], axis=-1)
 
 
-def param_horizontal(conic: CylinderConic, t, hemisphere: int = 1) -> np.ndarray:
-    """(C cos t, +/- sqrt(1 - C^2 cos^2 t - D^2 sin^2 t), D sin t)."""
-    if conic.kind is not ConicKind.HORIZONTAL:
-        raise DegenerateInput("param_horizontal needs a horizontal conic")
-    c, d = conic.p, conic.q
-    t = np.asarray(t, dtype=float)
-    x, z = c * np.cos(t), d * np.sin(t)
-    y = hemisphere * _lift(1.0 - x * x - z * z)
-    return np.stack([x, y, z], axis=-1)
+def other_cylinder(conic: CylinderConic) -> CylinderConic:
+    """The same conic on the other kind of cylinder; needs q < p, q < 1.
 
-
-def vertical_to_horizontal(v: CylinderConic) -> CylinderConic:
-    """Same conic as a horizontal cylinder; needs B < A, B < 1."""
-    if v.kind is not ConicKind.VERTICAL:
-        raise DegenerateInput("expected a vertical conic")
-    a, b = v.p, v.q
-    if not (b < a and b < 1):
-        raise NotConvertible(f"need B < A and B < 1, got A={a}, B={b}")
-    c2 = a * a * (1 - b * b) / (a * a - b * b)
-    return CylinderConic.horizontal(np.sqrt(c2), np.sqrt(1 - b * b))
-
-
-def horizontal_to_vertical(h: CylinderConic) -> CylinderConic:
-    """Same conic as a vertical cylinder; needs D < C, D < 1."""
-    if h.kind is not ConicKind.HORIZONTAL:
-        raise DegenerateInput("expected a horizontal conic")
-    c, d = h.p, h.q
-    if not (d < c and d < 1):
-        raise NotConvertible(f"need D < C and D < 1, got C={c}, D={d}")
-    a2 = c * c * (1 - d * d) / (c * c - d * d)
-    return CylinderConic.vertical(np.sqrt(a2), np.sqrt(1 - d * d))
+    Both directions are one map, as the y <-> z mirror swaps the kinds; in
+    squares (P^2, Q^2) -> (P^2 (1 - Q^2) / (P^2 - Q^2), 1 - Q^2), its own
+    inverse.
+    """
+    p, q = conic.p, conic.q
+    if not (q < p and q < 1):
+        raise NotConvertible(f"need q < p and q < 1, got p={p}, q={q}")
+    p2 = p * p * (1 - q * q) / (p * p - q * q)
+    vertical = conic.kind is ConicKind.VERTICAL
+    kind = ConicKind.HORIZONTAL if vertical else ConicKind.VERTICAL
+    return CylinderConic(kind, np.sqrt(p2), np.sqrt(1 - q * q))
 
 
 def rotate_quarter(h: CylinderConic) -> CylinderConic:
@@ -219,43 +202,44 @@ def canonical_form(conic: CylinderConic) -> CylinderConic:
 # ---------------------------------------------------------------------------
 
 
+# the y <-> z mirror maps horizontal(C, D) onto vertical(C, D) and swaps the
+# types with foci on and off the cylinder axis, so both kinds share one
+# parabola rule per type
+_MIRROR = {
+    ConicClass.TYPE_I: ConicClass.TYPE_II,
+    ConicClass.TYPE_II: ConicClass.TYPE_I,
+    ConicClass.PARABOLA_I: ConicClass.PARABOLA_II,
+    ConicClass.PARABOLA_II: ConicClass.PARABOLA_I,
+}
+
+
 def classify(conic: CylinderConic) -> ConicClass:
     """Sort a cylinder conic into the type taxonomy, degenerate tags included."""
     p, q = conic.p, conic.q
-    if conic.kind is ConicKind.VERTICAL:
-        if p == q:
+    vertical = conic.kind is ConicKind.VERTICAL
+    if p == q:
+        if vertical:
             return ConicClass.EQUATOR if p == 1.0 else ConicClass.DEGENERATE_PARALLEL
-        if p == 1.0 or q == 1.0:
-            if max(p, q) > 1.0:
-                raise EmptyIntersection("cylinder grazes the sphere in two points")
+        if p == 1.0:
             return ConicClass.DEGENERATE_GREAT_CIRCLE
-        if p < 1.0 and q < 1.0:
-            hi, lo = max(p, q), min(p, q)
-            if abs(hi * hi - 0.5) <= PARABOLA_TOL and lo * lo < 0.5:
-                return ConicClass.PARABOLA_I
-            return ConicClass.TYPE_I
-        p2, q2 = p * p, q * q
-        if abs(p2 + q2 - 2 * p2 * q2) <= PARABOLA_TOL:
-            return ConicClass.PARABOLA_II
-        return ConicClass.TYPE_II
-    c, d = p, q
-    if c == d:
-        return (
-            ConicClass.DEGENERATE_GREAT_CIRCLE
-            if c == 1.0
-            else ConicClass.DEGENERATE_SMALL_CIRCLE
-        )
-    if c == 1.0 or d == 1.0:
-        if max(c, d) > 1.0:
+        return ConicClass.DEGENERATE_SMALL_CIRCLE
+    if p == 1.0 or q == 1.0:
+        if max(p, q) > 1.0:
             raise EmptyIntersection("cylinder grazes the sphere in two points")
         return ConicClass.DEGENERATE_GREAT_CIRCLE
+    if vertical:
+        return _MIRROR[_horizontal_class(max(p, q), min(p, q))]
+    return _horizontal_class(p, q)
+
+
+def _horizontal_class(c: float, d: float) -> ConicClass:
+    c2, d2 = c * c, d * d
     if d < 1.0 < c:
-        c2, d2 = c * c, d * d
         if abs(c2 + d2 - 2 * c2 * d2) <= PARABOLA_TOL:
             return ConicClass.PARABOLA_I
         return ConicClass.TYPE_I
     if d < c < 1.0:
-        if abs(c * c - 0.5) <= PARABOLA_TOL:
+        if abs(c2 - 0.5) <= PARABOLA_TOL:
             return ConicClass.PARABOLA_II
         return ConicClass.TYPE_II
     # remaining: C < 1 < D, or C < D < 1 which a quarter turn normalizes
@@ -263,39 +247,22 @@ def classify(conic: CylinderConic) -> ConicClass:
 
 
 def focal_params(conic: CylinderConic) -> FocalConic:
-    """Canonical (d, e, axis) of a non-degenerate conic."""
+    """Canonical (d, e, axis) of a non-degenerate conic, read off its canonical
+    form; a vertical conic has the (d, e) of its horizontal mirror."""
     cls = classify(conic)
     if cls not in NONDEGENERATE:
         raise Degenerate(f"{cls.value} conic has no focal parameters")
-    p, q = conic.p, conic.q
-    if cls in (ConicClass.TYPE_I, ConicClass.PARABOLA_I):
-        if conic.kind is ConicKind.VERTICAL:
-            hi2, lo2 = max(p, q) ** 2, min(p, q) ** 2
-            d = np.arccos(np.sqrt(hi2))
-            e = np.arccos(np.sqrt((hi2 - lo2) / (1 - lo2)))
-        else:
-            c2, d2 = p * p, q * q
-            k = np.sqrt((1 - d2) / (c2 - d2))
-            d = np.arccos(np.sqrt(c2) * k)
-            e = np.arccos(k)
-        return FocalConic(float(d), float(e), FocalAxis.FOCI_ON_ZERO_MERIDIAN)
-    if cls in (ConicClass.TYPE_II, ConicClass.PARABOLA_II):
-        if conic.kind is ConicKind.VERTICAL:
-            a2, b2 = max(p, q) ** 2, min(p, q) ** 2
-            k = np.sqrt((1 - b2) / (a2 - b2))
-            d = np.arccos(np.sqrt(a2) * k)
-            e = np.arccos(k)
-        else:
-            c2, d2 = p * p, q * q
-            d = np.arccos(np.sqrt(c2))
-            e = np.arccos(np.sqrt((c2 - d2) / (1 - d2)))
-        return FocalConic(float(d), float(e), FocalAxis.FOCI_ON_EQUATOR)
-    # Type III, horizontal only; C < D < 1 is first rotated into C < 1 < D
-    h = conic if conic.q > 1.0 else rotate_quarter(conic)
+    h = canonical_form(conic)
     c2, d2 = h.p * h.p, h.q * h.q
-    k = np.sqrt((d2 - 1) / (d2 - c2))
-    d = np.arccos(np.sqrt(c2) * k)
-    e = np.arccos(k)
+    if c2 < 1.0 and d2 < 1.0:  # vertex at cos d = C
+        d = np.arccos(np.sqrt(c2))
+        e = np.arccos(np.sqrt((c2 - d2) / (1 - d2)))
+    else:  # one axis outside the sphere, focus at cos e = k
+        k = np.sqrt((1 - d2) / (c2 - d2))
+        d = np.arccos(np.sqrt(c2) * k)
+        e = np.arccos(k)
+    if cls in TYPE_II_CLASSES:
+        return FocalConic(float(d), float(e), FocalAxis.FOCI_ON_EQUATOR)
     return FocalConic(float(d), float(e), FocalAxis.FOCI_ON_ZERO_MERIDIAN)
 
 
@@ -465,13 +432,9 @@ def sample_loop(conic: CylinderConic, n: int = 2000, branch: int = 1) -> np.ndar
     ):
         raise Degenerate(f"cannot sample a {cls.value} conic")
     p2, q2 = conic.p ** 2, conic.q ** 2
-    if conic.kind is ConicKind.VERTICAL:
-        par = param_vertical
-    else:
-        par = param_horizontal
     if max(p2, q2) <= 1.0:
         t = np.linspace(-np.pi, np.pi, n)
-        return par(conic, t, hemisphere=branch)
+        return cylinder_point(conic, t, hemisphere=branch)
     # restricted arcs: first-coordinate axis too long (arc straddles t=pi/2)
     # or second-parametrized axis too long (arc straddles t=0)
     if p2 > 1.0:
@@ -484,8 +447,8 @@ def sample_loop(conic: CylinderConic, n: int = 2000, branch: int = 1) -> np.ndar
         lo, hi = (-t0, t0) if branch > 0 else (np.pi - t0, np.pi + t0)
     m = n // 2 + 1
     t_arc = _arc_chain(lo, hi, m)
-    upper = par(conic, t_arc, hemisphere=1)
-    lower = par(conic, t_arc[-2:0:-1], hemisphere=-1)
+    upper = cylinder_point(conic, t_arc, hemisphere=1)
+    lower = cylinder_point(conic, t_arc[-2:0:-1], hemisphere=-1)
     return np.concatenate([upper, lower, upper[:1]], axis=0)
 
 

@@ -37,6 +37,10 @@ class NoFeasibleRegion(SpheriqError):
     """The reconstruction integrand is nowhere positive."""
 
 
+class UnresolvedBand(SpheriqError):
+    """A feasible band ends closer to the equator than doubles resolve."""
+
+
 class QuadratureFailure(SpheriqError):
     """The quadrature chart does not apply to the integrand, or its inversion
     did not converge."""

@@ -29,6 +29,7 @@ from .errors import (
     OutOfDomain,
     OutOfRegion,
     QuadratureFailure,
+    UnresolvedBand,
 )
 from .sphere import SampledCurve, check_sample_count, geo_arrays_to_points, invariants_from_samples
 
@@ -163,6 +164,10 @@ class QuadricMomentum(MomentumProfile):
             return 0.0, self.mu / (self.mu + 1.0)
         t1, t2 = turning_squares(mc)
         if region in TYPE_I_CLASSES:
+            if t1 <= 0.0:
+                raise UnresolvedBand(
+                    f"type-I band end z_lo^2 = {t1!r} underflows to the equator"
+                )
             return t1, t2
         return 0.0, (t1 if region is ConicClass.TYPE_III else t2)
 
@@ -388,8 +393,21 @@ class ReconstructionMap:
         # du/ds at both panel ends in units of the panel's mean, the slopes of
         # the inverse cubic Hermite that starts each query
         self._end_slopes = legendre[0] / (_ENDS @ legendre)
-        self._g_lo, g_hi = self._longitude(np.array([-np.pi / 2, np.pi / 2]))
-        self._branch_lambda = float(g_hi - self._g_lo)
+        with np.errstate(invalid="ignore"):
+            ends = self._longitude(np.array([-np.pi / 2, np.pi / 2])).tolist()
+        for z, g in zip(self._ends, ends):
+            if not np.isfinite(g):
+                raise UnresolvedBand(
+                    f"the chart cannot resolve band end {z!r} of [{z_lo!r}, {z_hi!r}]: "
+                    "its longitude is not finite"
+                )
+        self._g_lo, g_hi = ends
+        self._branch_lambda = g_hi - self._g_lo
+        # G ends at 0 where the band ends in a pole crossing (K = 0 there),
+        # and at a swing of +-pi/4 or +-pi/2 at every other turning point;
+        # the test sits halfway to the smaller swing, because cos(+-pi/2) =
+        # 6e-17 leaves the swing of a K below ~1e-16 unfinished
+        self._jump_lo, self._jump_hi = (np.pi if abs(g) < np.pi / 8 else 0.0 for g in ends)
 
     # -- chart pieces ------------------------------------------------------
 
@@ -464,8 +482,8 @@ class ReconstructionMap:
     def fold(self, s):
         """Map arc length to (z, lambda) with reflection past turning points.
 
-        A turning point at |z| = 1 is a pole crossing, not a turn: the
-        latitude still mirrors but the longitude jumps by pi there.
+        A pole crossing is not a turn: the latitude still mirrors, but the
+        longitude jumps by pi there.
         """
         s = np.asarray(s, dtype=float)
         length = self.branch_length
@@ -474,11 +492,9 @@ class ReconstructionMap:
         up = sr <= length
         s_up = np.where(up, sr, period - sr)
         z, lam_chart = self.state_of_s(s_up)
-        lam_end = self.branch_lambda
-        jump_hi = np.pi if self.interval.z_hi >= 1.0 - 1e-12 else 0.0
-        jump_lo = np.pi if self.interval.z_lo <= -1.0 + 1e-12 else 0.0
+        lam_end, jump_hi = self.branch_lambda, self._jump_hi
         lam = np.where(up, lam_chart, 2.0 * lam_end + jump_hi - lam_chart)
-        return z, self.lambda0 + (2.0 * lam_end + jump_hi + jump_lo) * k + lam
+        return z, self.lambda0 + (2.0 * lam_end + jump_hi + self._jump_lo) * k + lam
 
     def point(self, s) -> np.ndarray:
         """Curve point(s) at arc length s (vectorized), reflecting at turnings."""

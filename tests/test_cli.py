@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -153,12 +154,19 @@ class TestReconstruct:
             ["--linear", "1e-6"],
             ["--constant", "0.003"],
             ["--quadric", "1e7", "0.3"],
+            # bands that end within 1e-12 of a pole with K != 0 there: the
+            # closed-form longitude makes the whole turn, with no pole jump
+            *[["--constant", k] for k in ("1e-7", "-1e-7", "1e-6", "1.4e-6")],
+            *[["--linear", k0] for k0 in ("1e-7", "-1e-6", "1.4e-6")],
         ],
     )
     def test_near_pole(self, capsys, flags):
         # the longitude turns by up to pi within ~1e-3 of the pole
         code, rep = run_json(capsys, ["reconstruct", *flags])
         assert code == 0
+        for curve in rep["curves"]:
+            assert curve["curvature_dev_max"] <= 1e-5
+            assert curve["momentum_dev_max"] <= 1e-9
 
     def test_undefined_profile_exit_2(self, capsys):
         assert main(["reconstruct", "--quadric", "0", "0", "--json"]) == 2
@@ -320,80 +328,111 @@ class TestInvalidInput:
     TINY_III = ["--quadric", "8.991968270924341e-13", "-58.372297418058906"]
 
     @pytest.mark.parametrize(
-        "argv, seed",
+        "argv, seed, err",
         [
-            pytest.param(["quadric", "--quadric", "nan", "1"], None, id="quadric-nan"),
-            pytest.param(["quadric", "--quadric", "inf", "1"], None, id="quadric-inf"),
-            pytest.param(["classify", "--quadric", "nan", "1"], None, id="classify-nan"),
+            pytest.param(["quadric", "--quadric", "nan", "1"], None, None, id="quadric-nan"),
+            pytest.param(["quadric", "--quadric", "inf", "1"], None, None, id="quadric-inf"),
+            pytest.param(["classify", "--quadric", "nan", "1"], None, None, id="classify-nan"),
             pytest.param(
-                ["reconstruct", "--constant", "0.5", "--step", "nan"], None, id="reconstruct-step-nan"
+                ["reconstruct", "--constant", "0.5", "--step", "nan"], None, None, id="reconstruct-step-nan"
             ),
             pytest.param(
                 ["conic", "--horizontal", "2", "0.5", "--csv", "x.csv", "--step", "nan"],
                 None,
+                None,
                 id="conic-step-nan",
             ),
-            pytest.param(["verify", "--fake-paraboloid", "nan"], None, id="verify-a-nan"),
+            pytest.param(["verify", "--fake-paraboloid", "nan"], None, None, id="verify-a-nan"),
             pytest.param(
-                ["verify", "--quadric", "-1.5", "5", "--samples", "0"], None, id="verify-samples-0"
+                ["verify", "--quadric", "-1.5", "5", "--samples", "0"], None, None, id="verify-samples-0"
             ),
             pytest.param(
-                ["verify", "--quadric", "-1.5", "5", "--samples", "-3"], None, id="verify-samples-neg"
+                ["verify", "--quadric", "-1.5", "5", "--samples", "-3"], None, None, id="verify-samples-neg"
             ),
-            pytest.param(["verify", "--quadric", "-1.5", "5"], "abc", id="verify-seed-abc"),
-            pytest.param(["verify", *TINY_III], None, id="verify-band-inside-axis-filter"),
+            pytest.param(["verify", "--quadric", "-1.5", "5"], "abc", None, id="verify-seed-abc"),
+            pytest.param(["verify", *TINY_III], None, None, id="verify-band-inside-axis-filter"),
             pytest.param(
-                ["quadric", "--quadric", "1", "-1", "--step", "1e-3"], None, id="quadric-step"
+                ["quadric", "--quadric", "1", "-1", "--step", "1e-3"], None, None, id="quadric-step"
             ),
             # steps below the sample cap's floor, down to the smallest double
             pytest.param(
                 ["reconstruct", "--constant", "0.5", "--step", "1e-300"],
+                None,
                 None,
                 id="reconstruct-step-1e-300",
             ),
             pytest.param(
                 ["conic", "--horizontal", "2", "0.5", "--csv", "x.csv", "--step", "1e-300"],
                 None,
+                None,
                 id="conic-step-1e-300",
             ),
             pytest.param(
                 ["reconstruct", "--constant", "0.5", "--step", "5e-324"],
+                None,
                 None,
                 id="reconstruct-step-5e-324",
             ),
             pytest.param(
                 ["conic", "--horizontal", "2", "0.5", "--csv", "x.csv", "--step", "5e-324"],
                 None,
+                None,
                 id="conic-step-5e-324",
             ),
             pytest.param(
                 ["verify", "--quadric", "1", "-1", "--fake-paraboloid", "1"],
+                None,
                 None,
                 id="verify-two-profiles",
             ),
             pytest.param(
                 ["reconstruct", "--constant", "0.5", "--linear", "0.3"],
                 None,
+                None,
                 id="reconstruct-two-profiles",
             ),
             # a band end of 3.3e-161 makes every sampled point NaN
             pytest.param(
-                ["reconstruct", "--quadric", "-1e-320", "10"], None, id="reconstruct-nan-samples"
+                ["reconstruct", "--quadric", "-1e-320", "10"],
+                None,
+                "band end",
+                id="reconstruct-nan-samples",
             ),
+            # band ends the chart cannot resolve: the longitude there is NaN,
+            # or z_lo^2 underflows to 0 and the two type-I bands would merge
+            *[
+                pytest.param(
+                    [cmd, "--quadric", mu, "10"], None, "band end", id=f"{cmd}-band-end-{mu}"
+                )
+                for cmd, mu in [
+                    ("reconstruct", "-1e-40"),
+                    ("reconstruct", "-1e-100"),
+                    ("reconstruct", "-1e-300"),
+                    ("reconstruct", "-5e-324"),
+                    ("verify", "-5e-324"),
+                    ("reconstruct", "-1e-323"),
+                    ("verify", "-1e-323"),
+                ]
+            ],
         ],
     )
-    def test_exit_2_without_traceback(self, argv, seed, tmp_path, monkeypatch, capsys):
+    def test_exit_2_without_traceback(self, argv, seed, err, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         if seed is not None:
             monkeypatch.setenv("SPHERIQ_SEED", seed)
-        try:
-            code = main(argv + ["--json"])
-        except SystemExit as exc:  # argparse rejects the flag
-            code = exc.code
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv + ["--json"])
+            except SystemExit as exc:  # argparse rejects the flag
+                code = exc.code
         assert code == 2
-        out, err = capsys.readouterr()
-        assert "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        out, stderr = capsys.readouterr()
+        assert "Traceback" not in stderr
         assert "NaN" not in out
+        if err is not None:
+            assert err in stderr
 
 
 class TestDeterminism:

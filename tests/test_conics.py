@@ -11,17 +11,15 @@ from spheriq.conics import (
     MomentumCoeffs,
     canonical_residual,
     classify,
+    cylinder_point,
     discriminant,
     focal_params,
-    horizontal_to_vertical,
     locus_residual,
     momentum_coeffs,
-    param_horizontal,
-    param_vertical,
+    other_cylinder,
     region_of,
     rotate_quarter,
     sample_loop,
-    vertical_to_horizontal,
 )
 from spheriq.errors import (
     DegenerateInput,
@@ -66,28 +64,28 @@ def random_nondegenerate(rng, kinds=("vertical", "horizontal")):
 class TestParametrizations:
     def test_vertical_circle_case(self):
         v = CylinderConic.vertical(0.6, 0.6)
-        assert_allclose(param_vertical(v, 0.0), [0.6, 0.0, 0.8], atol=1e-15)
+        assert_allclose(cylinder_point(v, 0.0), [0.6, 0.0, 0.8], atol=1e-15)
 
     def test_vertical_type_i_point(self):
         v = CylinderConic.vertical(0.5, 0.9)
         assert_allclose(
-            param_vertical(v, np.pi / 2), [0.0, 0.9, np.sqrt(0.19)], atol=1e-15
+            cylinder_point(v, np.pi / 2), [0.0, 0.9, np.sqrt(0.19)], atol=1e-15
         )
 
     def test_vertical_outside_sphere(self):
         v = CylinderConic.vertical(1.2, 0.5)
         with pytest.raises(OutsideSphere):
-            param_vertical(v, 0.0)  # A^2 cos^2 t = 1.44 > 1
+            cylinder_point(v, 0.0)  # A^2 cos^2 t = 1.44 > 1
 
     def test_horizontal_points(self):
         h = CylinderConic.horizontal(2.0, 0.5)
         assert_allclose(
-            param_horizontal(h, np.pi / 2), [0.0, np.sqrt(0.75), 0.5], atol=1e-15
+            cylinder_point(h, np.pi / 2), [0.0, np.sqrt(0.75), 0.5], atol=1e-15
         )
         h = CylinderConic.horizontal(0.6, 0.6)
-        assert_allclose(param_horizontal(h, 0.0), [0.6, 0.8, 0.0], atol=1e-15)
+        assert_allclose(cylinder_point(h, 0.0), [0.6, 0.8, 0.0], atol=1e-15)
         h = CylinderConic.horizontal(0.7, 1.4)
-        assert_allclose(param_horizontal(h, 0.0), [0.7, np.sqrt(0.51), 0.0], atol=1e-15)
+        assert_allclose(cylinder_point(h, 0.0), [0.7, np.sqrt(0.51), 0.0], atol=1e-15)
 
     def test_cylinder_equation_residual(self, rng):
         for _ in range(50):
@@ -103,21 +101,21 @@ class TestParametrizations:
 
 class TestConversions:
     def test_vertical_to_horizontal_values(self):
-        h = vertical_to_horizontal(CylinderConic.vertical(0.8, 0.5))
+        h = other_cylinder(CylinderConic.vertical(0.8, 0.5))
         assert_allclose(h.p**2, 0.64 * 0.75 / 0.39, rtol=1e-15)
         assert_allclose(h.q**2, 0.75, rtol=1e-15)
 
     def test_parabola_condition_maps(self):
         # A^2 = 1/2 > B^2 maps onto C^2 + D^2 = 2 C^2 D^2
-        h = vertical_to_horizontal(CylinderConic.vertical(np.sqrt(0.5), 0.5))
+        h = other_cylinder(CylinderConic.vertical(np.sqrt(0.5), 0.5))
         c2, d2 = h.p**2, h.q**2
         assert abs(c2 + d2 - 2 * c2 * d2) < 1e-12
-        v = horizontal_to_vertical(CylinderConic.horizontal(np.sqrt(0.5), 0.5))
+        v = other_cylinder(CylinderConic.horizontal(np.sqrt(0.5), 0.5))
         a2, b2 = v.p**2, v.q**2
         assert abs(a2 + b2 - 2 * a2 * b2) < 1e-12
 
     def test_horizontal_to_vertical_values(self):
-        v = horizontal_to_vertical(CylinderConic.horizontal(2.0, 0.5))
+        v = other_cylinder(CylinderConic.horizontal(2.0, 0.5))
         assert_allclose(v.p**2, 0.8, rtol=1e-15)
         assert_allclose(v.q**2, 0.75, rtol=1e-15)
 
@@ -126,19 +124,22 @@ class TestConversions:
             b = rng.uniform(0.1, 0.9)
             a = rng.uniform(b + 0.05, 2.5)
             v = CylinderConic.vertical(a, b)
-            back = horizontal_to_vertical(vertical_to_horizontal(v))
+            back = other_cylinder(other_cylinder(v))
             assert abs(back.p - a) < 1e-12 and abs(back.q - b) < 1e-12
 
     def test_not_convertible(self):
         with pytest.raises(NotConvertible):
-            horizontal_to_vertical(CylinderConic.horizontal(0.5, 0.8))
+            other_cylinder(CylinderConic.horizontal(0.5, 0.8))
 
     def test_shared_points(self):
         v = CylinderConic.vertical(0.8, 0.5)
-        h = vertical_to_horizontal(v)
-        pts = param_vertical(v, np.linspace(-3, 3, 41))
+        h = other_cylinder(v)
+        pts = cylinder_point(v, np.linspace(-3, 3, 41))
         res = pts[:, 0] ** 2 / h.p**2 + pts[:, 2] ** 2 / h.q**2 - 1
         assert np.max(np.abs(res)) < 1e-12
+
+
+PARABOLA_SLIVER = (np.sqrt(0.5 + 5e-11), np.sqrt(0.5 + 2e-11))
 
 
 class TestClassify:
@@ -160,6 +161,11 @@ class TestClassify:
             ("horizontal", 0.5, 1.0, ConicClass.DEGENERATE_GREAT_CIRCLE),
             ("vertical", np.sqrt(0.5), 0.5, ConicClass.PARABOLA_I),
             ("horizontal", np.sqrt(0.5), 0.5, ConicClass.PARABOLA_II),
+            # both squares just above 1/2, the longer within PARABOLA_TOL of
+            # it: a parabola of either kind, whatever the shorter axis
+            ("horizontal", *PARABOLA_SLIVER, ConicClass.PARABOLA_II),
+            ("vertical", *PARABOLA_SLIVER, ConicClass.PARABOLA_I),
+            ("vertical", *PARABOLA_SLIVER[::-1], ConicClass.PARABOLA_I),
         ],
     )
     def test_cases(self, kind, p, q, expected):
@@ -210,7 +216,7 @@ class TestFocalParams:
     def test_agreement_between_forms(self):
         v = CylinderConic.vertical(0.8, 0.5)
         fv = focal_params(v)
-        fh = focal_params(vertical_to_horizontal(v))
+        fh = focal_params(other_cylinder(v))
         assert abs(fv.d - fh.d) < 1e-12 and abs(fv.e - fh.e) < 1e-12
 
 
@@ -361,7 +367,7 @@ class TestMomentumCoeffs:
             a = rng.uniform(b + 0.05, 2.5)
             v = CylinderConic.vertical(a, b)
             mv = momentum_coeffs(v)
-            mh = momentum_coeffs(vertical_to_horizontal(v))
+            mh = momentum_coeffs(other_cylinder(v))
             assert abs(mv.mu - mh.mu) < 1e-12 * max(1, abs(mv.mu))
             assert abs(mv.c - mh.c) < 1e-12 * max(1, abs(mv.c))
 
