@@ -16,7 +16,7 @@ from spheriq.projection import (
     mesh_from_surface,
     spiric_coeffs,
     spiric_residual,
-    stereo_s2,
+    stereographic,
     write_obj,
 )
 from spheriq.surfaces import (
@@ -31,7 +31,7 @@ from spheriq.surfaces import (
 # ---------------------------------------------------------------------------
 conic = CylinderConic.horizontal(2.0, 0.5)
 co = spiric_coeffs(conic)
-uv = stereo_s2(sample_loop(conic, n=700))
+uv = stereographic(sample_loop(conic, n=700))
 print(f"type I conic (C, D) = (2, 0.5): spiric a = {co.a}, b = {co.b}")
 print(f"projected points satisfy the quartic: "
       f"max residual {np.max(np.abs(spiric_residual(co, uv))):.2e}")

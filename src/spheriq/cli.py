@@ -36,7 +36,6 @@ from .errors import (
     IOFailure,
     QuadratureFailure,
     SpheriqError,
-    TooFewSamples,
 )
 from .momentum import (
     ConstantMomentum,
@@ -44,6 +43,7 @@ from .momentum import (
     QuadricMomentum,
     ReconstructionMap,
     SpheroCylindricalMomentum,
+    band_latitudes,
     feasible_intervals,
     reconstruct,
     validate_reconstruction,
@@ -54,7 +54,7 @@ from .projection import (
     mesh_from_surface,
     spiric_coeffs,
     spiric_residual,
-    stereo_s2,
+    stereographic,
     write_obj,
 )
 from .sphere import cartesian_to_geo, resample_by_arclength, write_curve_csv
@@ -64,13 +64,11 @@ from .surfaces import (
     chart_profile,
     make_fake_paraboloid,
     make_quadric_surface,
-    principal_curvatures_analytic,
     quadric_spec_to_json,
 )
 from .weingarten import (
     classify_rotational_surface,
-    cubic_residual,
-    sextic_residual,
+    identity_residual,
     solve_report,
 )
 
@@ -240,27 +238,9 @@ def cmd_classify(args) -> dict:
 def cmd_verify(args) -> dict:
     report = _base_report("verify", args)
     report["seed"] = seed = _seed()
-    rng = np.random.default_rng(seed)
     profile = _profile_from_args(args)
-    # each feasible band, 1 % of its width in from both turning points
-    z = np.concatenate([
-        rng.uniform(iv.z_lo + 0.01 * iv.width, iv.z_hi - 0.01 * iv.width, args.samples)
-        for iv in feasible_intervals(profile)
-    ])
-    z = z[np.abs(z) > 1e-6]
-    if z.size == 0:
-        raise TooFewSamples("every sampled latitude has |z| <= 1e-6")
-    curv = principal_curvatures_analytic(profile, z)
-    if isinstance(profile, QuadricMomentum):
-        relation, res = "cubic", cubic_residual(curv, profile.mu)
-    elif isinstance(profile, ConstantMomentum):
-        relation, res = "km=0", cubic_residual(curv, 0.0)
-    elif isinstance(profile, LinearMomentum):
-        relation, res = "km=kp", curv.km - curv.kp
-    else:
-        relation, res = "sextic", sextic_residual(curv, profile.a)
-    report["relation"] = relation
-    report["residual_max"] = float(np.max(np.abs(res)))
+    z = band_latitudes(profile, args.samples, np.random.default_rng(seed))
+    report["relation"], report["residual_max"] = identity_residual(profile, z)
     report["tol"] = args.tol
     report["passed"] = bool(report["residual_max"] < args.tol)
     return report
@@ -290,7 +270,7 @@ def cmd_project(args) -> dict:
         conic = CylinderConic.horizontal(*args.horizontal)
         coeffs = spiric_coeffs(conic)
         pts = sample_loop(conic, n=4000)
-        uv = stereo_s2(pts)
+        uv = stereographic(pts)
         report.update(
             a=coeffs.a,
             b=coeffs.b,

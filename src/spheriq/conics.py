@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    BadParameter,
     Degenerate,
     DegenerateInput,
     EmptyIntersection,
@@ -170,16 +171,6 @@ def other_cylinder(conic: CylinderConic) -> CylinderConic:
     return CylinderConic(kind, np.sqrt(p2), np.sqrt(1 - q * q))
 
 
-def rotate_quarter(h: CylinderConic) -> CylinderConic:
-    """Horizontal conic after a quarter turn about the z-axis (C < D branch)."""
-    if h.kind is not ConicKind.HORIZONTAL:
-        raise DegenerateInput("expected a horizontal conic")
-    c, d = h.p, h.q
-    c2 = 1 - c * c
-    d2 = d * d * (1 - c * c) / (d * d - c * c)
-    return CylinderConic.horizontal(np.sqrt(c2), np.sqrt(d2))
-
-
 def canonical_form(conic: CylinderConic) -> CylinderConic:
     """Quarter-turn image in canonical position (same class, d, e, mu, c).
 
@@ -192,8 +183,9 @@ def canonical_form(conic: CylinderConic) -> CylinderConic:
         if p < q:
             return CylinderConic.vertical(q, p)
         return conic
-    if p < q < 1.0:
-        return rotate_quarter(conic)
+    if p < q < 1.0:  # the quarter turn, through the y <-> z mirror
+        o = other_cylinder(CylinderConic.horizontal(q, p))
+        return CylinderConic.horizontal(o.q, o.p)
     return conic
 
 
@@ -327,7 +319,11 @@ def discriminant(mc: MomentumCoeffs) -> float:
     points their digits.
     """
     mu, c = Fraction(mc.mu), Fraction(mc.c)
-    return float((mu - c + 1) ** 2 + 4 * c * mu)
+    exact = (mu - c + 1) ** 2 + 4 * c * mu
+    try:
+        return float(exact)
+    except OverflowError:
+        raise BadParameter(f"(mu={mc.mu}, c={mc.c}) is beyond double range") from None
 
 
 def turning_squares(mc: MomentumCoeffs) -> tuple[float, float]:

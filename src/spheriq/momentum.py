@@ -274,6 +274,15 @@ def feasible_intervals(p: MomentumProfile) -> list[FeasibleInterval]:
     return [FeasibleInterval(-z_hi, -z_lo), FeasibleInterval(z_lo, z_hi)]
 
 
+def band_latitudes(p: MomentumProfile, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One row per feasible band, in order: n uniform latitudes over the band,
+    1 % of its width in from both turning points."""
+    return np.array([
+        rng.uniform(iv.z_lo + 0.01 * iv.width, iv.z_hi - 0.01 * iv.width, n)
+        for iv in feasible_intervals(p)
+    ])
+
+
 # ---------------------------------------------------------------------------
 # arc-length chart over one feasible interval
 # ---------------------------------------------------------------------------

@@ -31,22 +31,14 @@ POLE_EPS = 1e-9
 CULL_EPS = 1e-6
 
 
-def stereo_s2(p: np.ndarray) -> np.ndarray:
-    """Project S^2 points from (0,0,1) to the xy-plane: (x, y)/(1 - z)."""
+def stereographic(p: np.ndarray) -> np.ndarray:
+    """Project S^n points from the pole (0, ..., 0, 1) to the hyperplane of
+    the other coordinates: p[..., :-1] / (1 - p[..., -1])."""
     p = np.asarray(p, dtype=float)
-    z = p[..., 2]
-    if np.any(z >= 1.0 - POLE_EPS):
-        raise AtPole("point too close to the north pole of S^2")
-    return p[..., :2] / (1.0 - z)[..., None]
-
-
-def stereo_s3(q: np.ndarray) -> np.ndarray:
-    """Project S^3 points from (0,0,0,1) to the xyz-hyperplane."""
-    q = np.asarray(q, dtype=float)
-    x4 = q[..., 3]
-    if np.any(x4 >= 1.0 - POLE_EPS):
-        raise AtPole("point too close to the north pole of S^3")
-    return q[..., :3] / (1.0 - x4)[..., None]
+    last = p[..., -1]
+    if np.any(last >= 1.0 - POLE_EPS):
+        raise AtPole(f"point too close to the north pole of S^{p.shape[-1] - 1}")
+    return p[..., :-1] / (1.0 - last)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +207,7 @@ def mesh_from_surface(
             faces = faces[np.all(keep[faces], axis=1)]
             faces = remap[faces]
             verts4 = verts4[keep]
-        verts = stereo_s3(verts4)
+        verts = stereographic(verts4)
 
     areas = _triangle_areas(verts, faces)
     faces = faces[areas >= 1e-14]

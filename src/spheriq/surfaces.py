@@ -205,10 +205,11 @@ def principal_curvatures_numeric(
 def principal_curvatures_analytic(profile: MomentumProfile, z) -> PrincipalCurvatures:
     """km = K'(z), kp = K(z)/z, broadcast over z; a scalar z gives floats.
 
-    Where |z| < 1e-12 kp takes the odd-profile limit K'(0).
+    Where z = 0 kp takes the odd-profile limit K'(0); every family's K(z)/z
+    is accurate at every other z.
     """
     z = np.asarray(z, dtype=float)
-    axis = np.abs(z) < 1e-12
+    axis = z == 0.0
     if np.any(axis) and not abs(float(profile.value(0.0))) < 1e-13:
         raise ZeroLatitude("K(0) != 0: parallel curvature diverges on the axis")
     with np.errstate(divide="ignore", invalid="ignore"):

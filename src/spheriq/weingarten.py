@@ -11,6 +11,7 @@ quadric regions otherwise.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,11 +23,21 @@ from .errors import (
     IllConditioned,
     OutOfRegion,
     TooFewSamples,
+    UnresolvedBand,
+)
+from .momentum import (
+    ConstantMomentum,
+    LinearMomentum,
+    MomentumProfile,
+    QuadricMomentum,
+    SpheroCylindricalMomentum,
+    feasible_intervals,
 )
 from .surfaces import (
     PrincipalCurvatures,
     QuadricSpec,
     make_quadric,
+    principal_curvatures_analytic,
     principal_curvatures_richardson,
     quadric_residuals,
     surface_point,
@@ -34,19 +45,55 @@ from .surfaces import (
 
 
 # ---------------------------------------------------------------------------
-# residuals of the two Weingarten identities
+# the Weingarten identities: their two sides and residuals
 # ---------------------------------------------------------------------------
+
+
+def cubic_sides(curv: PrincipalCurvatures, mu: float) -> tuple:
+    """(km, mu kp^3), equal on the cubic families."""
+    return curv.km, mu * curv.kp ** 3
+
+
+def sextic_sides(curv: PrincipalCurvatures, a: float) -> tuple:
+    """Both sides of (km - 2 kp^3 - 3 kp)^2 = 4 (1 + kp^2)^3 / (1 + a^2)."""
+    km, kp = curv.km, curv.kp
+    return (km - 2.0 * kp ** 3 - 3.0 * kp) ** 2, 4.0 / (1.0 + a * a) * (1.0 + kp * kp) ** 3
 
 
 def cubic_residual(curv: PrincipalCurvatures, mu: float) -> float | np.ndarray:
     """km - mu kp^3, identically zero on the cubic families."""
-    return curv.km - mu * curv.kp ** 3
+    return operator.sub(*cubic_sides(curv, mu))
 
 
 def sextic_residual(curv: PrincipalCurvatures, a: float) -> float | np.ndarray:
-    """LHS - RHS of (km - 2 kp^3 - 3 kp)^2 = 4 (1 + kp^2)^3 / (1 + a^2)."""
-    km, kp = curv.km, curv.kp
-    return (km - 2.0 * kp ** 3 - 3.0 * kp) ** 2 - 4.0 / (1.0 + a * a) * (1.0 + kp * kp) ** 3
+    """LHS - RHS of the sextic relation of the sphero-cylindrical family."""
+    return operator.sub(*sextic_sides(curv, a))
+
+
+# each momentum family's Weingarten identity: its name and its two sides
+_IDENTITIES = {
+    QuadricMomentum: ("cubic", lambda p, curv: cubic_sides(curv, p.mu)),
+    ConstantMomentum: ("km=0", lambda p, curv: (curv.km, 0.0)),
+    LinearMomentum: ("km=kp", lambda p, curv: (curv.km, curv.kp)),
+    SpheroCylindricalMomentum: ("sextic", lambda p, curv: sextic_sides(curv, p.a)),
+}
+
+
+def identity_residual(profile: MomentumProfile, z: np.ndarray) -> tuple[str, float]:
+    """Name and largest |lhs - rhs| / max(1, |lhs|, |rhs|) of the profile's
+    Weingarten identity at latitudes z, one row per feasible band.  Raises
+    UnresolvedBand, naming the band, where a side is not finite."""
+    name, sides = _IDENTITIES[type(profile)]
+    with np.errstate(all="ignore"):
+        lhs, rhs = sides(profile, principal_curvatures_analytic(profile, z))
+        rel = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    unresolved = np.any(np.isnan(rel), axis=-1)  # NaN where a side is not finite
+    if np.any(unresolved):
+        iv = feasible_intervals(profile)[int(np.argmax(unresolved))]
+        raise UnresolvedBand(
+            f"the {name} identity is not finite on the band [{iv.z_lo!r}, {iv.z_hi!r}]"
+        )
+    return name, float(np.max(rel))
 
 
 class MuFit(NamedTuple):

@@ -36,7 +36,7 @@ from spheriq.projection import (
     mesh_from_surface,
     spiric_coeffs,
     spiric_residual,
-    stereo_s2,
+    stereographic,
 )
 from spheriq.sphere import cartesian_to_geo, geodesic_distance
 from spheriq.surfaces import (
@@ -234,7 +234,7 @@ def test_08_projection_quartics(rng):
     worst_spiric = 0.0
     for conic in conics:
         coeffs = spiric_coeffs(conic)
-        uv = stereo_s2(sample_loop(conic, n=1000))
+        uv = stereographic(sample_loop(conic, n=1000))
         worst_spiric = max(worst_spiric, np.max(np.abs(spiric_residual(coeffs, uv))))
     worst_cyclide = 0.0
     for mu, c in [(-1 / 12, 5 / 3), (0.7, 1.1), (1.0, -1.0)]:

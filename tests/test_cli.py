@@ -266,6 +266,27 @@ class TestVerifyCommand:
         assert code == 0
         assert rep["seed"] == 7
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # a band |z| < 1.2e-7, once wholly inside an absolute |z| cut
+            pytest.param(
+                ["--quadric", "8.991968270924341e-13", "-58.372297418058906"], id="band-inside-axis-filter"
+            ),
+            pytest.param(["--linear", "1e6"], id="linear-narrow-band"),
+            # sides near 1e19: a few ulp of them exceed an absolute --tol
+            pytest.param(["--fake-paraboloid", "1e-3"], id="sextic-large-terms"),
+            # part of the band lies within 1e-12 of the equator
+            pytest.param(["--quadric", "1e-20", "-10"], id="band-inside-1e-12"),
+            # K' near 1/sqrt(mu) = 1.4e4: a few ulp of it exceed an absolute --tol
+            pytest.param(["--quadric", "5.475523692373472e-09", "-22.09385359034698"], id="wide-grid-48"),
+        ],
+    )
+    def test_relative_residual_passes(self, flags, capsys):
+        code, rep = run_json(capsys, ["verify", *flags])
+        assert code == 0
+        assert rep["passed"] is True
+
 
 class TestProjectCommand:
     def test_quadric_cyclide(self, tmp_path, capsys):
@@ -293,6 +314,16 @@ class TestProjectCommand:
 
 
 class TestCoverage:
+    @pytest.mark.parametrize("grid", sorted(COVERAGE_GRIDS))
+    def test_verify_passes_everywhere(self, grid, capsys):
+        n = {"moderate": 877, "wide": 893}[grid]
+        failed = []
+        for mu, c in coverage_pairs(grid, n):
+            code, rep = run_json(capsys, ["verify", "--quadric", mu, c])
+            if code != 0 or rep["passed"] is not True:
+                failed.append((mu, c))
+        assert failed == []
+
     # quadric and project exit 0 on the first 64 valid (mu, c) of each grid
     @pytest.mark.parametrize("grid", sorted(COVERAGE_GRIDS))
     def test_quadric_and_project_exit_0(self, grid, capsys):
@@ -325,8 +356,6 @@ class TestNumberTokens:
 
 
 class TestInvalidInput:
-    TINY_III = ["--quadric", "8.991968270924341e-13", "-58.372297418058906"]
-
     @pytest.mark.parametrize(
         "argv, seed, err",
         [
@@ -350,7 +379,6 @@ class TestInvalidInput:
                 ["verify", "--quadric", "-1.5", "5", "--samples", "-3"], None, None, id="verify-samples-neg"
             ),
             pytest.param(["verify", "--quadric", "-1.5", "5"], "abc", None, id="verify-seed-abc"),
-            pytest.param(["verify", *TINY_III], None, None, id="verify-band-inside-axis-filter"),
             pytest.param(
                 ["quadric", "--quadric", "1", "-1", "--step", "1e-3"], None, None, id="quadric-step"
             ),
@@ -390,6 +418,27 @@ class TestInvalidInput:
                 None,
                 None,
                 id="reconstruct-two-profiles",
+            ),
+            # pairs whose exact discriminant lies beyond double range
+            *[
+                pytest.param([cmd, "--quadric", mu, c], None, "beyond double range", id=f"{cmd}-{mu}-{c}")
+                for cmd, mu, c in [
+                    ("quadric", "1e155", "1"),
+                    ("quadric", "1", "1e155"),
+                    ("quadric", "1", "-1e155"),
+                    ("quadric", "-1e155", "1e156"),
+                    ("reconstruct", "1e300", "1"),
+                    ("classify", "1e300", "1"),
+                    ("project", "1e300", "1"),
+                    ("verify", "1e300", "1"),
+                ]
+            ],
+            # K' overflows on the band: the identity's sides are not finite
+            pytest.param(
+                ["verify", "--quadric", "1e-300", "-10"], None, "on the band [", id="verify-sides-overflow"
+            ),
+            pytest.param(
+                ["verify", "--fake-paraboloid", "1e-300"], None, "on the band [", id="verify-sextic-nan"
             ),
             # a band end of 3.3e-161 makes every sampled point NaN
             pytest.param(

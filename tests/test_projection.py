@@ -12,8 +12,7 @@ from spheriq.projection import (
     mesh_from_surface,
     spiric_coeffs,
     spiric_residual,
-    stereo_s2,
-    stereo_s3,
+    stereographic,
     write_obj,
 )
 from spheriq.projection import _triangle_areas
@@ -31,26 +30,26 @@ from helpers import obj_reference, read_obj, traced_peak
 
 class TestStereo:
     def test_s2_south_pole(self):
-        assert_allclose(stereo_s2(np.array([0.0, 0.0, -1.0])), [0.0, 0.0], atol=0)
+        assert_allclose(stereographic(np.array([0.0, 0.0, -1.0])), [0.0, 0.0], atol=0)
 
     def test_s2_equator_fixed(self):
-        assert_allclose(stereo_s2(np.array([1.0, 0.0, 0.0])), [1.0, 0.0], atol=0)
+        assert_allclose(stereographic(np.array([1.0, 0.0, 0.0])), [1.0, 0.0], atol=0)
 
     def test_s2_at_pole(self):
         with pytest.raises(AtPole):
-            stereo_s2(np.array([0.0, 0.0, 1.0]))
+            stereographic(np.array([0.0, 0.0, 1.0]))
 
     def test_s3_points(self):
-        assert_allclose(stereo_s3(np.array([0.0, 0, 0, -1.0])), [0, 0, 0], atol=0)
-        assert_allclose(stereo_s3(np.array([1.0, 0, 0, 0.0])), [1, 0, 0], atol=0)
+        assert_allclose(stereographic(np.array([0.0, 0, 0, -1.0])), [0, 0, 0], atol=0)
+        assert_allclose(stereographic(np.array([1.0, 0, 0, 0.0])), [1, 0, 0], atol=0)
         with pytest.raises(AtPole):
-            stereo_s3(np.array([0.0, 0, 0, 1.0]))
+            stereographic(np.array([0.0, 0, 0, 1.0]))
 
     def test_s3_equatorial_norm_preserved(self, rng):
         v = rng.normal(size=(20, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         q = np.concatenate([v, np.zeros((20, 1))], axis=1)
-        assert_allclose(np.linalg.norm(stereo_s3(q), axis=1), 1.0, atol=1e-15)
+        assert_allclose(np.linalg.norm(stereographic(q), axis=1), 1.0, atol=1e-15)
 
     def test_conformality(self):
         # two great circles crossing at (1, 0, 0): the projected crossing
@@ -65,7 +64,7 @@ class TestStereo:
                 pts = np.stack(
                     [np.cos(s), np.cos(th) * np.sin(s), np.sin(th) * np.sin(s)], axis=1
                 )
-                uv = stereo_s2(pts)
+                uv = stereographic(pts)
                 tans.append((uv[1] - uv[0]) / (2 * h))
             cosang = np.dot(tans[0], tans[1]) / (
                 np.linalg.norm(tans[0]) * np.linalg.norm(tans[1])
@@ -85,14 +84,14 @@ class TestSpiric:
         conic = CylinderConic.horizontal(2.0, 0.5)
         coeffs = spiric_coeffs(conic)
         for branch in (1, -1):
-            uv = stereo_s2(sample_loop(conic, n=1000, branch=branch))
+            uv = stereographic(sample_loop(conic, n=1000, branch=branch))
             assert np.max(np.abs(spiric_residual(coeffs, uv))) < 1e-9
 
     def test_type_iii_residual(self):
         conic = CylinderConic.horizontal(0.8, 1.3)
         coeffs = spiric_coeffs(conic)
         assert np.isfinite(coeffs.a) and np.isfinite(coeffs.b)
-        uv = stereo_s2(sample_loop(conic, n=1000))
+        uv = stereographic(sample_loop(conic, n=1000))
         assert np.max(np.abs(spiric_residual(coeffs, uv))) < 1e-9
 
     def test_requires_horizontal(self):
@@ -114,7 +113,7 @@ class TestSpiric:
             else:
                 conic = CylinderConic.horizontal(rng.uniform(0.2, 0.9), rng.uniform(1.1, 3))
             coeffs = spiric_coeffs(conic)
-            uv = stereo_s2(sample_loop(conic, n=333))
+            uv = stereographic(sample_loop(conic, n=333))
             assert np.max(np.abs(spiric_residual(coeffs, uv))) < 1e-9
 
 

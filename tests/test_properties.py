@@ -1,4 +1,5 @@
-"""Properties of the conic layer over whole regions of the moduli plane.
+"""Properties of the conic layer and of the cubic relation over whole
+regions of the moduli plane.
 
 Each strategy draws its class directly, with no filter, so no example is
 rejected.  Runs are derandomized and keep no example database, so the suite
@@ -26,6 +27,9 @@ from spheriq.conics import (
     sample_loop,
     vertical_squares,
 )
+from spheriq.momentum import QuadricMomentum, band_latitudes
+from spheriq.surfaces import principal_curvatures_analytic
+from spheriq.weingarten import cubic_sides
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -98,6 +102,49 @@ def moduli(draw):
         return -mu, 1.0 + mu + s
     c = 10.0 ** draw(st.floats(-3.0, 2.0))
     return (mu, c) if region == "II" else (mu, -c)
+
+
+tiny = st.floats(-14.0, -8.0).map(lambda e: 10.0**e)  # 1e-14 to 1e-8 inside an edge
+EDGES = {
+    "I": ["none", "mu", "disc", "parabola"],
+    "II": ["none", "mu", "c", "parabola"],
+    "III": ["none", "mu", "c"],
+}
+
+
+@st.composite
+def quadric_moduli(draw):
+    """(mu, c) inside region I, II or III: anywhere, 1e-14 to 1e-8 inside one
+    of the region's edges (mu = 0, c = 0 or the discriminant's zero), or on
+    its parabola line."""
+    region = draw(st.sampled_from(sorted(EDGES)))
+    edge = draw(st.sampled_from(EDGES[region]))
+    m = draw(tiny) if edge == "mu" else 10.0 ** draw(st.floats(-6.0, 2.0))
+    if region == "I":
+        if edge == "parabola":  # 2 mu + c = 2 with c > 4
+            m = 1.0 + 10.0 ** draw(st.floats(-3.0, 2.0))
+            return -m, 2.0 + 2.0 * m
+        # the discriminant vanishes at c = (1 + sqrt(-mu))^2
+        gap = draw(tiny) if edge == "disc" else 10.0 ** draw(st.floats(-3.0, 2.0))
+        return -m, (1.0 + math.sqrt(m)) ** 2 * (1.0 + gap)
+    if edge == "parabola":  # mu + c = 1
+        mu = draw(st.floats(0.01, 0.99))
+        return mu, 1.0 - mu
+    c = draw(tiny) if edge == "c" else 10.0 ** draw(st.floats(-3.0, 2.0))
+    return (m, c) if region == "II" else (m, -c)
+
+
+class TestCubicProperty:
+    @PROPERTY
+    @given(quadric_moduli(), st.integers(0, 2**32 - 1))
+    def test_cubic_relation_per_sample(self, mc, seed):
+        # km = mu kp^3 to 8 ulp (8 * 2^-52 relative) of the larger side
+        mu, c = mc
+        profile = QuadricMomentum(mu, c)
+        z = band_latitudes(profile, 50, np.random.default_rng(seed))
+        km, mu_kp3 = cubic_sides(principal_curvatures_analytic(profile, z), mu)
+        scale = np.maximum(np.abs(km), np.abs(mu_kp3))
+        assert np.all(np.abs(km - mu_kp3) <= 8.0 * np.finfo(float).eps * scale)
 
 
 class TestConicProperties:
