@@ -27,6 +27,7 @@ from .conics import (
     focal_params,
     canonical_residual,
     locus_residual,
+    region_of,
     sample_loop,
     NONDEGENERATE,
 )
@@ -114,7 +115,10 @@ def _emit(report: dict, args) -> None:
         print(text)
         return
     out = Path(args.out_dir) / f"{report['command']}_report.json"
-    out.write_text(text + "\n")
+    try:
+        out.write_text(text + "\n")
+    except OSError as exc:
+        raise IOFailure(str(exc)) from exc
     print(out)
 
 
@@ -218,10 +222,10 @@ def cmd_quadric(args) -> dict:
 
 def cmd_classify(args) -> dict:
     report = _base_report("classify", args)
-    if getattr(args, "quadric", None) is not None:
-        mu, c = args.quadric
-        surface = make_quadric_surface(MomentumCoeffs(mu, c))
-    elif getattr(args, "fake_paraboloid", None) is not None:
+    # a pair on a degenerate line has no quadric record: classify its profile's chart
+    if args.quadric is not None and region_of(MomentumCoeffs(*args.quadric)) in NONDEGENERATE:
+        surface = make_quadric_surface(MomentumCoeffs(*args.quadric))
+    elif args.fake_paraboloid is not None:
         surface = make_fake_paraboloid(args.fake_paraboloid)
     else:
         profile = _profile_from_args(args)
@@ -398,14 +402,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        report = args.func(args)
+        _emit(args.func(args), args)
     except NUMERIC_ERRORS as exc:
         print(f"spheriq: numeric failure: {exc}", file=sys.stderr)
         return 3
     except SpheriqError as exc:
         print(f"spheriq: invalid input: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args)
     return 0
 
 

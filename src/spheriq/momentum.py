@@ -147,7 +147,8 @@ class QuadricMomentum(MomentumProfile):
         return np.asarray(z, dtype=float) / np.sqrt(self._den(z))
 
     def derivative(self, z):
-        return self.mu / np.sqrt(self._den(z) ** 3)
+        den = self._den(z)  # den ** 3 would underflow for den below ~1e-103
+        return self.mu / (den * np.sqrt(den))
 
     def turning_points(self):
         # g (mu + c t) = q(t) = -c t^2 + (c - mu - 1) t + mu with q(0) = mu and

@@ -242,19 +242,6 @@ def invariants_from_samples(c: SampledCurve) -> SampledCurve:
     return out
 
 
-def slerp(p: np.ndarray, q: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Great-circle interpolation between unit vectors, f in [0, 1]."""
-    ang = geodesic_distance(p, q)
-    ang = np.asarray(ang)
-    f = np.asarray(f)
-    small = ang < 1e-9
-    sa = np.where(small, 1.0, np.sin(ang))
-    wp = np.where(small, 1.0 - f, np.sin((1.0 - f) * ang) / sa)
-    wq = np.where(small, f, np.sin(f * ang) / sa)
-    out = wp[..., None] * p + wq[..., None] * q
-    return out / np.linalg.norm(out, axis=-1, keepdims=True)
-
-
 # the most steps one sampled curve may take: `reconstruct --constant 0.5` at
 # the smallest step allowed (2**20 + 1 samples) raised ru_maxrss by 160 MiB
 # on a 2-vCPU Xeon VM
@@ -299,9 +286,15 @@ def resample_by_arclength(points: np.ndarray, target_step: float) -> SampledCurv
         raise TooFewSamples("target_step too large for the chain length")
     s_new = np.arange(n_out) * target_step
     idx = np.clip(np.searchsorted(cum, s_new, side="right") - 1, 0, len(seg) - 1)
-    frac = (s_new - cum[idx]) / seg[idx]
-    new_pts = slerp(pts[idx], pts[idx + 1], np.clip(frac, 0.0, 1.0))
-    return SampledCurve(s=s_new, points=new_pts)
+    ang = seg[idx]
+    f = np.clip((s_new - cum[idx]) / ang, 0.0, 1.0)
+    # great-circle interpolation from pts[idx] to pts[idx + 1]
+    small = ang < 1e-9
+    sa = np.where(small, 1.0, np.sin(ang))
+    wp = np.where(small, 1.0 - f, np.sin((1.0 - f) * ang) / sa)
+    wq = np.where(small, f, np.sin(f * ang) / sa)
+    out = wp[:, None] * pts[idx] + wq[:, None] * pts[idx + 1]
+    return SampledCurve(s=s_new, points=out / np.linalg.norm(out, axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,10 @@ from .sphere import frame_invariants, great_circle_point, parallel_point, small_
 
 
 class SurfaceFamily(enum.Enum):
-    EQUATORIAL = "Equatorial"
-    UMBILICAL = "Umbilical"
+    """The case taxonomy: what the constructors build and the classifier reports."""
+
+    EQUATORIAL = "EquatorialSphere"
+    UMBILICAL = "UmbilicalSphere"
     STANDARD_TORUS = "StandardTorus"
     SPHERICAL_MOON = "SphericalMoon"
     QUADRIC_I = "QuadricI"
@@ -62,14 +64,6 @@ class SurfaceFamily(enum.Enum):
     QUADRIC_III = "QuadricIII"
     FAKE_PARABOLOID = "FakeParaboloid"
     GENERIC = "Generic"
-
-
-QUADRIC_FAMILIES = {
-    SurfaceFamily.QUADRIC_I,
-    SurfaceFamily.QUADRIC_IIA,
-    SurfaceFamily.QUADRIC_IIB,
-    SurfaceFamily.QUADRIC_III,
-}
 
 
 @dataclass(frozen=True)
@@ -267,7 +261,7 @@ def implicit_residuals(surface: RotationalSurface, q: np.ndarray) -> dict:
     """All implicit-form residuals available for the surface family at q; the
     degenerate families take alpha_hat2 and beta_hat2 from their params."""
     fam = surface.family
-    if fam in QUADRIC_FAMILIES and surface.quadric is not None:
+    if surface.quadric is not None:
         return quadric_residuals(surface.quadric, q)
     if fam is SurfaceFamily.GENERIC:
         raise NoImplicitForm("generic rotational surface")

@@ -10,21 +10,14 @@ quadric regions otherwise.
 
 from __future__ import annotations
 
-import enum
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .conics import ConicClass, MomentumCoeffs, region_of
-from .errors import (
-    DegenerateInput,
-    IllConditioned,
-    OutOfRegion,
-    TooFewSamples,
-    UnresolvedBand,
-)
+from .errors import IllConditioned, TooFewSamples, UnresolvedBand
 from .momentum import (
     ConstantMomentum,
     LinearMomentum,
@@ -36,6 +29,7 @@ from .momentum import (
 from .surfaces import (
     PrincipalCurvatures,
     QuadricSpec,
+    SurfaceFamily,
     make_quadric,
     principal_curvatures_analytic,
     principal_curvatures_richardson,
@@ -123,29 +117,21 @@ def fit_mu(curv: PrincipalCurvatures) -> MuFit:
 # ---------------------------------------------------------------------------
 
 
-class SolveCase(enum.Enum):
-    EQUATORIAL_SPHERE = "EquatorialSphere"
-    UMBILICAL_SPHERE = "UmbilicalSphere"
-    STANDARD_TORUS = "StandardTorus"
-    SPHERICAL_MOON = "SphericalMoon"
-    NONDEGENERATE_QUADRIC = "NonDegenerateQuadric"
-
-
 @dataclass(frozen=True)
 class CubicSolveResult:
     """Outcome of the cubic-relation case tree.
 
     mu is None only for the equatorial sphere, where every mu satisfies the
-    relation.
+    relation.  A quadric's case is its spec's family.
     """
 
-    case: SolveCase
+    case: SurfaceFamily
     mu: float | None = None
     c: float | None = None
     delta: float | None = None
     phi0: float | None = None
     theta: float | None = None
-    spec: QuadricSpec | None = None  # set for the non-degenerate case
+    spec: QuadricSpec | None = None  # set for the quadric families
     residual_max: float | None = None
 
 
@@ -157,36 +143,25 @@ class NotCubic:
     mu_best: float | None = None
 
 
-def solve_cubic_weingarten(
-    mu: float | None,
-    c: float | None = None,
-    z_constant: bool = False,
-) -> CubicSolveResult:
+def solve_cubic_weingarten(mu: float, c: float) -> CubicSolveResult:
     """Dispatch (mu, c) through the exact case tree of the cubic relation.
 
-    With z_constant the profile is a parallel and mu = -tan^4(phi0) must be
-    negative.  Otherwise region_of decides: mu = 0 yields spherical moons
-    (the equatorial sphere is the K = 0 member, which only curvature data can
-    single out, see classify_rotational_surface), c = 0 umbilical spheres with
-    mu = 1/sinh^2(delta), and the quadric regions a QuadricSpec.
+    region_of decides: mu = 0 yields spherical moons (the equatorial sphere
+    is the K = 0 member, which only curvature data can single out), c = 0
+    umbilical spheres with mu = 1/sinh^2(delta), and the quadric regions a
+    QuadricSpec.  Standard tori have constant latitude and no (mu, c); the
+    classifier detects them from the profile, see classify_rotational_surface.
     """
-    if z_constant:
-        if mu is None or mu >= 0:
-            raise OutOfRegion("a standard torus needs mu = -tan^4 phi0 < 0")
-        phi0 = float(np.arctan((-mu) ** 0.25))
-        return CubicSolveResult(case=SolveCase.STANDARD_TORUS, mu=mu, phi0=phi0)
-    if mu is None or c is None:
-        raise DegenerateInput("mu and c are required unless z is constant")
     mc = MomentumCoeffs(mu, c)
     region = region_of(mc)  # raises OutOfRegion outside the moduli regions
     if region is ConicClass.DEGENERATE_GREAT_CIRCLE:
         theta = float(np.arccos(1.0 / np.sqrt(c)))
-        return CubicSolveResult(case=SolveCase.SPHERICAL_MOON, mu=0.0, c=c, theta=theta)
+        return CubicSolveResult(case=SurfaceFamily.SPHERICAL_MOON, mu=0.0, c=c, theta=theta)
     if region is ConicClass.DEGENERATE_SMALL_CIRCLE:
         delta = float(np.arcsinh(1.0 / np.sqrt(mu)))
-        return CubicSolveResult(case=SolveCase.UMBILICAL_SPHERE, mu=mu, c=0.0, delta=delta)
+        return CubicSolveResult(case=SurfaceFamily.UMBILICAL, mu=mu, c=0.0, delta=delta)
     spec = make_quadric(mc)
-    return CubicSolveResult(case=SolveCase.NONDEGENERATE_QUADRIC, mu=mu, c=c, spec=spec)
+    return CubicSolveResult(case=spec.family, mu=mu, c=c, spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +185,10 @@ def classify_rotational_surface(surface) -> CubicSolveResult | NotCubic:
     s_all = np.linspace(lo + 0.03 * span, hi - 0.03 * span, 24)
     z_all = surface.profile.point(s_all)[:, 2]
     if np.ptp(z_all) < 1e-9:
-        # constant latitude: a standard torus at phi0 = arcsin |z|
+        # constant latitude: a standard torus at phi0 = arcsin |z|, mu = -tan^4 phi0
         phi0 = float(np.arcsin(abs(z_all.mean())))
-        return solve_cubic_weingarten(-np.tan(phi0) ** 4, z_constant=True)
+        mu = -np.tan(phi0) ** 4
+        return CubicSolveResult(case=SurfaceFamily.STANDARD_TORUS, mu=mu, phi0=phi0)
     keep = np.abs(z_all) > 0.05
     s_use, z = s_all[keep], z_all[keep]
     if len(s_use) < 8:
@@ -220,12 +196,12 @@ def classify_rotational_surface(surface) -> CubicSolveResult | NotCubic:
     curv = principal_curvatures_richardson(surface, s_use)
     km, kp = curv.km, curv.kp
     if np.max(np.abs(km)) < CUBIC_FIT_TOL and np.max(np.abs(kp)) < CUBIC_FIT_TOL:
-        return CubicSolveResult(case=SolveCase.EQUATORIAL_SPHERE, mu=None)
+        return CubicSolveResult(case=SurfaceFamily.EQUATORIAL, mu=None)
     if np.max(np.abs(km)) < CUBIC_FIT_TOL:
         k_bar = float(np.mean(kp * z))  # constant momentum of the moon profile
         theta = float(np.arccos(np.clip(-k_bar, -1.0, 1.0)))
         return CubicSolveResult(
-            case=SolveCase.SPHERICAL_MOON, mu=0.0, theta=theta, residual_max=float(np.max(np.abs(km)))
+            case=SurfaceFamily.SPHERICAL_MOON, mu=0.0, theta=theta, residual_max=float(np.max(np.abs(km)))
         )
     fit = fit_mu(curv)
     if fit.max_residual >= CUBIC_FIT_TOL:
@@ -233,19 +209,15 @@ def classify_rotational_surface(surface) -> CubicSolveResult | NotCubic:
     usable = np.abs(kp) > 1e-6
     c_hat = float(np.mean((1.0 / kp[usable] ** 2 - fit.mu) / z[usable] ** 2))
     if abs(c_hat) < 1e-6:
-        result = solve_cubic_weingarten(fit.mu, 0.0)
-        return CubicSolveResult(
-            case=result.case, mu=fit.mu, c=0.0, delta=result.delta,
-            residual_max=fit.max_residual,
-        )
+        c_hat = 0.0  # the umbilical line
     result = solve_cubic_weingarten(fit.mu, c_hat)
-    # cross-check: the recovered implicit equation must vanish on the surface
-    probe = surface_point(surface, s_use, 0.37)
-    imp = np.max(np.abs(quadric_residuals(result.spec, probe)["x2_form"]))
-    return CubicSolveResult(
-        case=result.case, mu=fit.mu, c=c_hat, spec=result.spec,
-        residual_max=float(max(fit.max_residual, imp)),
-    )
+    residual = fit.max_residual
+    if result.spec is not None:
+        # cross-check: the recovered implicit equation must vanish on the surface
+        probe = surface_point(surface, s_use, 0.37)
+        imp = np.max(np.abs(quadric_residuals(result.spec, probe)["x2_form"]))
+        residual = float(max(residual, imp))
+    return replace(result, residual_max=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +237,7 @@ def solve_report(result: CubicSolveResult | NotCubic) -> dict:
         }
     spec = result.spec
     return {
-        "case": result.case.value
-        if result.case is not SolveCase.NONDEGENERATE_QUADRIC
-        else spec.family.value,
+        "case": result.case.value,
         "mu": result.mu,
         "c": result.c,
         "A2": None if spec is None else spec.a2,

@@ -52,7 +52,6 @@ from spheriq.surfaces import (
 from spheriq.weingarten import (
     CubicSolveResult,
     NotCubic,
-    SolveCase,
     classify_rotational_surface,
     cubic_residual,
     sextic_residual,
@@ -264,18 +263,18 @@ def test_08_projection_quartics(rng):
 
 
 def test_09_classifier_battery(rng):
-    battery = [(make_degenerate(SurfaceFamily.EQUATORIAL), SolveCase.EQUATORIAL_SPHERE, None)]
+    battery = [(make_degenerate(SurfaceFamily.EQUATORIAL), SurfaceFamily.EQUATORIAL, None)]
     for delta in (0.3, 0.8, 1.2, 1.7, 2.2):
         battery.append(
-            (make_degenerate(SurfaceFamily.UMBILICAL, delta), SolveCase.UMBILICAL_SPHERE, None)
+            (make_degenerate(SurfaceFamily.UMBILICAL, delta), SurfaceFamily.UMBILICAL, None)
         )
     for phi0 in (0.2, 0.5, np.pi / 4, 0.9, 1.1, 1.35):
         battery.append(
-            (make_degenerate(SurfaceFamily.STANDARD_TORUS, phi0), SolveCase.STANDARD_TORUS, None)
+            (make_degenerate(SurfaceFamily.STANDARD_TORUS, phi0), SurfaceFamily.STANDARD_TORUS, None)
         )
     for theta in (0.4, 0.9, 1.3, 1.9, 2.4, 2.8):
         battery.append(
-            (make_degenerate(SurfaceFamily.SPHERICAL_MOON, theta), SolveCase.SPHERICAL_MOON, None)
+            (make_degenerate(SurfaceFamily.SPHERICAL_MOON, theta), SurfaceFamily.SPHERICAL_MOON, None)
         )
     quadrics = []
     for _ in range(5):
@@ -293,13 +292,8 @@ def test_09_classifier_battery(rng):
     for _ in range(6):
         quadrics.append(draw_region(rng, "III"))
     for mu, c in quadrics:
-        battery.append(
-            (
-                make_quadric_surface(MomentumCoeffs(mu, c)),
-                SolveCase.NONDEGENERATE_QUADRIC,
-                (mu, c),
-            )
-        )
+        surface = make_quadric_surface(MomentumCoeffs(mu, c))
+        battery.append((surface, surface.family, (mu, c)))
     battery.append((make_fake_paraboloid(1.0), "NotCubic", None))
     battery.append((make_fake_paraboloid(0.5), "NotCubic", None))
     assert len(battery) == 40

@@ -171,6 +171,16 @@ class TestReconstruct:
     def test_undefined_profile_exit_2(self, capsys):
         assert main(["reconstruct", "--quadric", "0", "0", "--json"]) == 2
 
+    def test_umbilical_line_matches_linear(self, capsys):
+        # (3, 0) lies on the c = 0 line: K = z / sqrt(3) = k0 z
+        _, quadric = run_json(capsys, ["reconstruct", "--quadric", "3", "0"])
+        _, linear = run_json(capsys, ["reconstruct", "--linear", "0.5773502691896258"])
+        assert quadric["intervals"] == linear["intervals"]
+        for rep in (quadric, linear):
+            (curve,) = rep["curves"]
+            assert curve["momentum_dev_max"] <= 1e-6 and curve["curvature_dev_max"] <= 1e-6
+        assert quadric["curves"][0]["samples"] == linear["curves"][0]["samples"]
+
 
 class TestQuadricCommand:
     def test_spec_report(self, capsys):
@@ -233,6 +243,13 @@ class TestClassifyCommand:
         assert code == 0
         assert rep["case"] == "UmbilicalSphere"
 
+    def test_quadric_on_umbilical_line(self, capsys):
+        # c = 0 has no quadric record: the pair is classified from its chart
+        code, rep = run_json(capsys, ["classify", "--quadric", "3", "0"])
+        assert code == 0
+        assert rep["case"] == "UmbilicalSphere"
+        assert abs(rep["mu"] - 3.0) < 1e-8
+
 
 class TestVerifyCommand:
     def test_fake_paraboloid_sextic(self, capsys):
@@ -260,6 +277,12 @@ class TestVerifyCommand:
         assert rep["relation"] == "km=kp"
         assert rep["passed"] is True
 
+    def test_umbilical_line_with_samples(self, capsys):
+        code, rep = run_json(capsys, ["verify", "--quadric", "3", "0", "--samples", "7"])
+        assert code == 0
+        assert rep["config"]["samples"] == 7
+        assert rep["passed"] is True
+
     def test_report_echoes_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("SPHERIQ_SEED", "7")
         code, rep = run_json(capsys, ["verify", "--quadric", "-1.5", "5"])
@@ -280,6 +303,8 @@ class TestVerifyCommand:
             pytest.param(["--quadric", "1e-20", "-10"], id="band-inside-1e-12"),
             # K' near 1/sqrt(mu) = 1.4e4: a few ulp of it exceed an absolute --tol
             pytest.param(["--quadric", "5.475523692373472e-09", "-22.09385359034698"], id="wide-grid-48"),
+            # den = mu + c z^2 near 1e-105: den ** 3 would underflow in K'
+            pytest.param(["--quadric", "1e-105", "-1e3"], id="tiny-den"),
         ],
     )
     def test_relative_residual_passes(self, flags, capsys):
@@ -482,6 +507,20 @@ class TestInvalidInput:
         assert "NaN" not in out
         if err is not None:
             assert err in stderr
+
+
+class TestWriteFailure:
+    @pytest.mark.parametrize(
+        "flags",
+        [["--out-dir", "missing"], ["--csv", "missing/x.csv"]],
+        ids=["report", "csv"],
+    )
+    def test_exit_3_without_traceback(self, flags, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["conic", "--horizontal", "2", "0.5", *flags]) == 3
+        _, stderr = capsys.readouterr()
+        assert "Traceback" not in stderr
+        assert "numeric failure" in stderr and "missing" in stderr
 
 
 class TestDeterminism:

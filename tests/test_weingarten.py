@@ -31,7 +31,6 @@ from spheriq.surfaces import (
 from spheriq.weingarten import (
     CubicSolveResult,
     NotCubic,
-    SolveCase,
     classify_rotational_surface,
     cubic_residual,
     fit_mu,
@@ -200,8 +199,7 @@ class TestInverseMaps:
 class TestSolve:
     def test_parabola_i(self):
         r = solve_cubic_weingarten(-1.5, 5.0)
-        assert r.case is SolveCase.NONDEGENERATE_QUADRIC
-        assert r.spec.family is SurfaceFamily.QUADRIC_I
+        assert r.case is r.spec.family is SurfaceFamily.QUADRIC_I
         assert r.spec.a2 == 0.5
         assert_allclose(r.spec.d2, 0.6, rtol=1e-14)
 
@@ -216,17 +214,12 @@ class TestSolve:
 
     def test_umbilical(self):
         r = solve_cubic_weingarten(3.0, 0.0)
-        assert r.case is SolveCase.UMBILICAL_SPHERE
+        assert r.case is SurfaceFamily.UMBILICAL
         assert_allclose(np.sinh(r.delta) ** 2, 1.0 / 3.0, rtol=1e-14)
-
-    def test_torus(self):
-        r = solve_cubic_weingarten(-1.0, z_constant=True)
-        assert r.case is SolveCase.STANDARD_TORUS
-        assert_allclose(r.phi0, np.pi / 4, rtol=1e-15)
 
     def test_moon(self):
         r = solve_cubic_weingarten(0.0, 4.0)
-        assert r.case is SolveCase.SPHERICAL_MOON
+        assert r.case is SurfaceFamily.SPHERICAL_MOON
         assert_allclose(np.cos(r.theta), 0.5, rtol=1e-15)
 
     def test_moon_needs_c_above_one(self):
@@ -276,10 +269,16 @@ class TestClassifier:
         S = make_quadric_surface(MomentumCoeffs(mu, c))
         r = classify_rotational_surface(S)
         assert isinstance(r, CubicSolveResult)
-        assert r.case is SolveCase.NONDEGENERATE_QUADRIC
-        assert r.spec.family is SurfaceFamily.QUADRIC_I
+        assert r.case is r.spec.family is SurfaceFamily.QUADRIC_I
         assert abs(r.mu - mu) < 1e-8
         assert abs(r.c - c) < 1e-8
+
+    def test_torus(self):
+        # constant latitude phi0 = pi/4: mu = -tan^4 phi0 = -1
+        r = classify_rotational_surface(make_degenerate(SurfaceFamily.STANDARD_TORUS, np.pi / 4))
+        assert r.case is SurfaceFamily.STANDARD_TORUS
+        assert_allclose(r.phi0, np.pi / 4, rtol=1e-15)
+        assert_allclose(r.mu, -1.0, rtol=1e-15)
 
     def test_fake_paraboloid_not_cubic(self):
         r = classify_rotational_surface(make_fake_paraboloid(1.0))
@@ -289,7 +288,7 @@ class TestClassifier:
     def test_moon(self):
         S = make_degenerate(SurfaceFamily.SPHERICAL_MOON, np.pi / 3)
         r = classify_rotational_surface(S)
-        assert r.case is SolveCase.SPHERICAL_MOON
+        assert r.case is SurfaceFamily.SPHERICAL_MOON
         assert r.mu == 0.0
         assert abs(r.theta - np.pi / 3) < 1e-8 or abs(r.theta - 2 * np.pi / 3) < 1e-8
 
