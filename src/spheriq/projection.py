@@ -5,8 +5,10 @@ yields a bicircular quartic (x^2+y^2)^2 - 2a x^2 - 2b y^2 + 1 = 0 (a spiric
 curve); projecting a quadric surface of revolution from the pole of S^3
 onto the xyz-hyperplane yields a Darboux cyclide
 lam r^4 + L r^2 + q0 + qx2 x^2 + qz2 z^2 = 0 with r^2 = x^2+y^2+z^2.
-Quartic residuals are normalized by (1 + r^2)^2 so tolerances stay
-scale-free far from the origin.
+The spiric residual is normalized by (1 + rho^2)^2, so that its tolerance
+holds far from the origin.  The cyclide residual is taken relative to the
+sum of its five terms' magnitudes at each point, so that it also holds
+where the coefficients are large, and scaling all five leaves it unchanged.
 """
 
 from __future__ import annotations
@@ -103,19 +105,20 @@ def cyclide_coeffs(spec) -> CyclideCoeffs:
 
 
 def cyclide_residual(coeffs: CyclideCoeffs, pts: np.ndarray) -> np.ndarray:
-    """Normalized quartic residual at projected points (x, y, z)."""
+    """Quartic residual at projected points (x, y, z), relative to the sum of
+    its terms' magnitudes there."""
     pts = np.asarray(pts, dtype=float)
     x2 = pts[..., 0] ** 2
     z2 = pts[..., 2] ** 2
     r2 = np.sum(pts * pts, axis=-1)
-    raw = (
-        coeffs.lam * r2 * r2
-        + coeffs.L * r2
-        + coeffs.q0
-        + coeffs.qx2 * x2
-        + coeffs.qz2 * z2
+    terms = (
+        coeffs.lam * r2 * r2,
+        coeffs.L * r2,
+        coeffs.q0,
+        coeffs.qx2 * x2,
+        coeffs.qz2 * z2,
     )
-    return raw / (1.0 + r2) ** 2
+    return sum(terms) / sum(np.abs(t) for t in terms)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,12 @@ class RotationalSurface:
         return self.profile.s_domain
 
 
+def revolve(pts, t) -> np.ndarray:
+    """X = (x, y, z cos t, z sin t) of profile points (..., 3), broadcast over t."""
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    return np.stack(np.broadcast_arrays(x, y, z * np.cos(t), z * np.sin(t)), axis=-1)
+
+
 def surface_point(surface: RotationalSurface, s, t) -> np.ndarray:
     """X(s, t) = (x(s), y(s), z(s) cos t, z(s) sin t), broadcast over s, t."""
     s = np.asarray(s, dtype=float)
@@ -134,16 +140,18 @@ def surface_point(surface: RotationalSurface, s, t) -> np.ndarray:
     if not surface.profile.closed:
         if np.any(s < lo - 1e-9) or np.any(s > hi + 1e-9):
             raise OutOfDomain(f"s outside profile domain [{lo}, {hi}]")
-    pts = surface.profile.point(s)
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    return np.stack(
-        np.broadcast_arrays(x, y, z * np.cos(t), z * np.sin(t)), axis=-1
-    )
+    return revolve(surface.profile.point(s), t)
 
 
 # ---------------------------------------------------------------------------
 # fundamental forms and principal curvatures
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PrincipalCurvatures:
+    km: float | np.ndarray  # along meridians (t constant)
+    kp: float | np.ndarray  # along parallels (s constant)
 
 
 @dataclass(frozen=True)
@@ -154,17 +162,32 @@ class FundamentalForms:
     L: np.ndarray
     N: np.ndarray
 
-
-@dataclass(frozen=True)
-class PrincipalCurvatures:
-    km: float | np.ndarray  # along meridians (t constant)
-    kp: float | np.ndarray  # along parallels (s constant)
+    def principal_curvatures(self, s) -> PrincipalCurvatures:
+        """km = L, kp = N/G; raises ZeroLatitude, naming the stencil centres s,
+        where the latitude vanishes."""
+        if np.any(np.abs(self.G) < 1e-12):
+            raise ZeroLatitude(f"profile latitude vanishes at s={s}")
+        return PrincipalCurvatures(km=self.L, kp=self.N / self.G)
 
 
 # uniform 5-point central weights of the first and second derivative,
 # in units of 1/h and 1/h^2, on the nodes s + (-2, -1, 0, 1, 2) h
 _D1_WEIGHTS = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _D2_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+
+
+def forms_from_nodes(pts: np.ndarray, h) -> FundamentalForms:
+    """Coefficients (G, L, N) from profile points at the stencil nodes s + (-2..2) h.
+
+    pts holds the five nodes of each stencil on axis -2, shape (..., 5, 3).
+    h is a float, or an array that broadcasts against the leading axes of
+    pts with a trailing axis of 1, so that one call serves stencils of
+    several step sizes.
+    """
+    p = pts[..., 2, :]
+    kappa, mom = frame_invariants(p, _D1_WEIGHTS @ pts / h, _D2_WEIGHTS @ pts / (h * h))
+    z = p[..., 2]
+    return FundamentalForms(G=z * z, L=kappa, N=z * mom)
 
 
 def fundamental_forms(surface: RotationalSurface, s, h: float = 1e-3) -> FundamentalForms:
@@ -179,21 +202,14 @@ def fundamental_forms(surface: RotationalSurface, s, h: float = 1e-3) -> Fundame
     lo, hi = surface.s_domain
     if not surface.profile.closed and (np.any(s < lo - 1e-9) or np.any(s > hi + 1e-9)):
         raise OutOfDomain(f"s={s} outside profile domain [{lo}, {hi}]")
-    pts = surface.profile.point(s[..., None] + np.arange(-2, 3) * h)
-    p = pts[..., 2, :]
-    kappa, mom = frame_invariants(p, _D1_WEIGHTS @ pts / h, _D2_WEIGHTS @ pts / (h * h))
-    z = p[..., 2]
-    return FundamentalForms(G=z * z, L=kappa, N=z * mom)
+    return forms_from_nodes(surface.profile.point(s[..., None] + np.arange(-2, 3) * h), h)
 
 
 def principal_curvatures_numeric(
     surface: RotationalSurface, s, h: float = 1e-3
 ) -> PrincipalCurvatures:
     """km = L, kp = N/G from finite-difference fundamental forms, broadcast over s."""
-    forms = fundamental_forms(surface, s, h)
-    if np.any(np.abs(forms.G) < 1e-12):
-        raise ZeroLatitude(f"profile latitude vanishes at s={s}")
-    return PrincipalCurvatures(km=forms.L, kp=forms.N / forms.G)
+    return fundamental_forms(surface, s, h).principal_curvatures(s)
 
 
 def principal_curvatures_analytic(profile: MomentumProfile, z) -> PrincipalCurvatures:
@@ -212,17 +228,6 @@ def principal_curvatures_analytic(profile: MomentumProfile, z) -> PrincipalCurva
     if z.ndim == 0:
         return PrincipalCurvatures(km=float(km), kp=float(kp))
     return PrincipalCurvatures(km=km, kp=kp)
-
-
-def principal_curvatures_richardson(
-    surface: RotationalSurface, s, h: float = 2e-3
-) -> PrincipalCurvatures:
-    """Two-step Richardson extrapolation of the numeric curvatures, broadcast over s."""
-    coarse = principal_curvatures_numeric(surface, s, h)
-    fine = principal_curvatures_numeric(surface, s, h / 2)
-    return PrincipalCurvatures(
-        km=(4 * fine.km - coarse.km) / 3, kp=(4 * fine.kp - coarse.kp) / 3
-    )
 
 
 # ---------------------------------------------------------------------------

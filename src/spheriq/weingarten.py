@@ -30,11 +30,11 @@ from .surfaces import (
     PrincipalCurvatures,
     QuadricSpec,
     SurfaceFamily,
+    forms_from_nodes,
     make_quadric,
     principal_curvatures_analytic,
-    principal_curvatures_richardson,
     quadric_residuals,
-    surface_point,
+    revolve,
 )
 
 
@@ -170,20 +170,28 @@ def solve_cubic_weingarten(mu: float, c: float) -> CubicSolveResult:
 
 CUBIC_FIT_TOL = 1e-6
 
+# the Richardson levels h and h/2 of the 5-point curvature stencil, one row
+# each, and the ten node offsets of each sample's stencils, coarse level first
+_RICHARDSON_H = np.array([[2e-3], [1e-3]])
+_NODE_OFFSETS = (_RICHARDSON_H * np.arange(-2, 3)).ravel()
+
 
 def classify_rotational_surface(surface) -> CubicSolveResult | NotCubic:
     """Identify which cubic-relation case a rotational surface realizes.
 
-    Principal curvatures at 24 samples come from one batched call per
-    Richardson stencil level; if the best cubic fit leaves a residual above
-    CUBIC_FIT_TOL the surface is reported NotCubic.  For quadric cases the
-    recovered coefficients are cross-checked against the implicit equation
-    on surface samples.
+    One profile call evaluates both Richardson levels' stencil nodes around
+    24 samples; the stencil centres give the latitudes and the probe.  If
+    the best cubic fit to the extrapolated principal curvatures leaves a
+    residual above CUBIC_FIT_TOL the surface is reported NotCubic.  For
+    quadric cases the recovered coefficients are cross-checked against the
+    implicit equation at the centres rotated by t = 0.37.
     """
     lo, hi = surface.s_domain
     span = hi - lo
     s_all = np.linspace(lo + 0.03 * span, hi - 0.03 * span, 24)
-    z_all = surface.profile.point(s_all)[:, 2]
+    pts = surface.profile.point(s_all[:, None] + _NODE_OFFSETS)
+    centres = pts[:, 2]
+    z_all = centres[:, 2]
     if np.ptp(z_all) < 1e-9:
         # constant latitude: a standard torus at phi0 = arcsin |z|, mu = -tan^4 phi0
         phi0 = float(np.arcsin(abs(z_all.mean())))
@@ -193,8 +201,10 @@ def classify_rotational_surface(surface) -> CubicSolveResult | NotCubic:
     s_use, z = s_all[keep], z_all[keep]
     if len(s_use) < 8:
         raise TooFewSamples("fewer than 8 usable curvature samples")
-    curv = principal_curvatures_richardson(surface, s_use)
-    km, kp = curv.km, curv.kp
+    forms = forms_from_nodes(pts[keep].reshape(-1, 2, 5, 3), _RICHARDSON_H)
+    levels = forms.principal_curvatures(s_use)
+    km, kp = ((4 * k[:, 1] - k[:, 0]) / 3 for k in (levels.km, levels.kp))
+    curv = PrincipalCurvatures(km=km, kp=kp)
     if np.max(np.abs(km)) < CUBIC_FIT_TOL and np.max(np.abs(kp)) < CUBIC_FIT_TOL:
         return CubicSolveResult(case=SurfaceFamily.EQUATORIAL, mu=None)
     if np.max(np.abs(km)) < CUBIC_FIT_TOL:
@@ -214,7 +224,7 @@ def classify_rotational_surface(surface) -> CubicSolveResult | NotCubic:
     residual = fit.max_residual
     if result.spec is not None:
         # cross-check: the recovered implicit equation must vanish on the surface
-        probe = surface_point(surface, s_use, 0.37)
+        probe = revolve(centres[keep], 0.37)
         imp = np.max(np.abs(quadric_residuals(result.spec, probe)["x2_form"]))
         residual = float(max(residual, imp))
     return replace(result, residual_max=residual)

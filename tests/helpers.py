@@ -1,12 +1,13 @@
 """Functions only the tests use: file readers, the row-by-row CSV, OBJ and
-float-record references, a writer's tracemalloc peak, z-rotation alignment,
-the two geographic-form differentials dlambda/dphi of a quadric profile, an
-adaptive-quadrature reference for the arc-length chart and the seeded
-coverage grids of the moduli plane."""
+float-record references, a writer's tracemalloc peak, a call counter,
+z-rotation alignment, the two geographic-form differentials dlambda/dphi of
+a quadric profile, an adaptive-quadrature reference for the arc-length
+chart and the seeded coverage grids of the moduli plane."""
 
 import csv
 import io
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -94,6 +95,32 @@ def traced_peak(write, *args) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+class Call(NamedTuple):
+    name: str
+    args: tuple
+    kwargs: dict
+
+
+def count_calls(monkeypatch, owner, name: str, log: list | None = None) -> list:
+    """Wrap owner.name so that each call appends a Call to log and return log.
+
+    log is a new list unless one is passed, so that several counters can
+    share one log and keep the order of their calls.  A method's args start
+    with the instance.  Patch a class before its method is bound: a bound
+    method taken earlier (a surface's profile holds chart.point) keeps the
+    original.
+    """
+    log = [] if log is None else log
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        log.append(Call(name, args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return log
 
 
 def align_z_rotation(source: np.ndarray, target: np.ndarray) -> float:

@@ -16,6 +16,7 @@ from spheriq.cli import main
 
 from helpers import (
     COVERAGE_GRIDS,
+    count_calls,
     coverage_pairs,
     csv_reference,
     obj_reference,
@@ -206,14 +207,7 @@ class TestQuadricCommand:
         assert path.read_bytes() == obj_reference(read_obj(path))
 
     def test_mesh_only_with_obj(self, tmp_path, monkeypatch, capsys):
-        calls = []
-        mesh_from_surface = cli.mesh_from_surface
-
-        def counted(*args, **kwargs):
-            calls.append(kwargs)
-            return mesh_from_surface(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "mesh_from_surface", counted)
+        calls = count_calls(monkeypatch, cli, "mesh_from_surface")
         argv = ["quadric", "--quadric", "0.5", "0.5", "--json"]
         assert main(argv) == 0
         plain = capsys.readouterr().out
@@ -322,6 +316,14 @@ class TestProjectCommand:
         assert code == 0 and path.exists()
         assert abs(rep["lam"] + 3.0) < 1e-9
         assert abs(rep["L"] - 10.0) < 1e-9
+        assert rep["residual_max"] < 1e-8
+
+    def test_large_coefficients(self, capsys):
+        # 1e-14 from c = 0 the coefficients reach 1.2e15; an absolute
+        # residual read 0.15 here
+        code, rep = run_json(capsys, ["project", "--quadric", "2.0532699689534972", "-1e-14"])
+        assert code == 0
+        assert abs(rep["qx2"]) > 1e15
         assert rep["residual_max"] < 1e-8
 
     def test_obj_bytes_match_reference(self, tmp_path, capsys):

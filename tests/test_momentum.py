@@ -29,7 +29,7 @@ from spheriq import sphere
 from spheriq.sphere import SampledCurve, geodesic_distance, invariants_from_samples
 from spheriq.surfaces import make_quadric_surface
 
-from helpers import align_z_rotation, quad_arc_length, rotate_z
+from helpers import align_z_rotation, count_calls, quad_arc_length, rotate_z
 
 
 class TestProfiles:
@@ -382,14 +382,8 @@ class TestValidateReconstruction:
 
     def test_one_derivative_pass_and_one_check_per_curve(self, monkeypatch):
         # the invariants reuse the samples checked when the curve was built
-        calls = []
-        derivatives, post_init = sphere.curve_derivatives, SampledCurve.__post_init__
-        monkeypatch.setattr(
-            sphere, "curve_derivatives", lambda *a: calls.append("d") or derivatives(*a)
-        )
-        monkeypatch.setattr(
-            SampledCurve, "__post_init__", lambda self: calls.append("c") or post_init(self)
-        )
+        calls = count_calls(monkeypatch, sphere, "curve_derivatives")
+        count_calls(monkeypatch, SampledCurve, "__post_init__", calls)
         cases = [
             ConstantMomentum(-0.6),
             LinearMomentum(0.9),
@@ -398,7 +392,7 @@ class TestValidateReconstruction:
         ]
         for p in cases:
             validate_reconstruction(reconstruct(p, feasible_intervals(p)[0], step=1e-3), p)
-        assert calls == ["c", "d"] * len(cases)
+        assert [c.name for c in calls] == ["__post_init__", "curve_derivatives"] * len(cases)
 
 
 def _quad_longitude(p, iv, u):

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,6 +7,7 @@ from numpy.testing import assert_allclose
 from spheriq.conics import CylinderConic, MomentumCoeffs, sample_loop
 from spheriq.errors import AtPole, DegenerateProjection, IOFailure, MissingParams
 from spheriq.projection import (
+    CyclideCoeffs,
     Mesh,
     cyclide_coeffs,
     cyclide_residual,
@@ -132,6 +135,17 @@ class TestCyclide:
             mesh = mesh_from_surface(S, ns=100, nt=100, project=True)
             assert len(mesh.vertices) >= 10_000
             assert np.max(np.abs(cyclide_residual(co, mesh.vertices))) < 1e-8
+
+    def test_residual_is_relative_to_its_terms(self):
+        # a power-of-two factor scales every term exactly, so the residual
+        # must not move by a bit
+        S = make_quadric_surface(MomentumCoeffs(0.7, 1.1))
+        co = cyclide_coeffs(S.quadric)
+        pts = mesh_from_surface(S, ns=16, nt=16, project=True).vertices
+        res = cyclide_residual(co, pts)
+        for factor in (2.0**-60, 2.0**60):
+            scaled = CyclideCoeffs(*(factor * v for v in astuple(co)))
+            assert np.array_equal(cyclide_residual(scaled, pts), res)
 
     def test_l_positive(self, rng):
         for _ in range(50):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spheriq import weingarten
 from spheriq.conics import (
     MomentumCoeffs,
     discriminant,
@@ -20,8 +21,11 @@ from spheriq.momentum import (
     feasible_intervals,
 )
 from spheriq.surfaces import (
+    FundamentalForms,
     PrincipalCurvatures,
+    RotationalSurface,
     SurfaceFamily,
+    chart_profile,
     make_degenerate,
     make_fake_paraboloid,
     make_quadric_surface,
@@ -39,7 +43,7 @@ from spheriq.weingarten import (
     solve_report,
 )
 
-from helpers import dlambda_dphi_cylinder, dlambda_dphi_momentum
+from helpers import count_calls, dlambda_dphi_cylinder, dlambda_dphi_momentum
 
 
 def sample_type_i(rng):
@@ -293,19 +297,43 @@ class TestClassifier:
         assert abs(r.theta - np.pi / 3) < 1e-8 or abs(r.theta - 2 * np.pi / 3) < 1e-8
 
     def test_chart_calls_batched(self, monkeypatch):
-        # one chart call per stencil level, not one per sample and level
-        calls = []
-        point = ReconstructionMap.point
+        # both Richardson levels' stencils around all 24 samples, the latitude
+        # test and the probe come from one chart call; the profile binds
+        # chart.point when the surface is built
+        cases = [
+            (lambda: make_quadric_surface(MomentumCoeffs(-1.5, 5.0)), "QuadricI"),
+            (lambda: make_fake_paraboloid(0.5), "NotCubic"),
+            (lambda: _chart_surface(ConstantMomentum(-0.5)), "SphericalMoon"),
+        ]
+        calls = count_calls(monkeypatch, ReconstructionMap, "point")
+        for build, case in cases:
+            calls.clear()
+            report = solve_report(classify_rotational_surface(build()))
+            assert report["case"] == case
+            assert [np.shape(c.args[1]) for c in calls] == [(24, 10)], case
 
-        def counted(chart, s):
-            calls.append(np.shape(s))
-            return point(chart, s)
-
-        # the profile binds chart.point when the surface is built
-        monkeypatch.setattr(ReconstructionMap, "point", counted)
-        r = classify_rotational_surface(make_quadric_surface(MomentumCoeffs(-1.5, 5.0)))
-        assert r.spec.family is SurfaceFamily.QUADRIC_I
-        assert len(calls) <= 4, calls
+    @pytest.mark.parametrize(
+        "kind, param",
+        [
+            (SurfaceFamily.EQUATORIAL, 0.0),
+            (SurfaceFamily.UMBILICAL, 0.3),
+            (SurfaceFamily.UMBILICAL, 1.2),
+            (SurfaceFamily.SPHERICAL_MOON, np.pi / 3),
+            (SurfaceFamily.SPHERICAL_MOON, 2.0),
+        ],
+    )
+    def test_one_call_richardson_is_two_numeric_levels(self, monkeypatch, kind, param):
+        # a closed-form profile evaluates point by point, so the one-call
+        # node block reproduces each level's numeric stencils bit for bit
+        S = make_degenerate(kind, param)
+        stencils = count_calls(monkeypatch, FundamentalForms, "principal_curvatures")
+        records = count_calls(monkeypatch, weingarten, "PrincipalCurvatures")
+        classify_rotational_surface(S)
+        s_use = stencils[0].args[1]
+        coarse, fine = (principal_curvatures_numeric(S, s_use, h) for h in (2e-3, 1e-3))
+        got = records[0].kwargs
+        assert np.array_equal(got["km"], (4 * fine.km - coarse.km) / 3)
+        assert np.array_equal(got["kp"], (4 * fine.kp - coarse.kp) / 3)
 
     def test_report_shape(self):
         r = classify_rotational_surface(make_quadric_surface(MomentumCoeffs(1.0, -1.0)))
@@ -314,3 +342,9 @@ class TestClassifier:
         assert report["C2"] is not None and report["D2"] is not None
         nr = solve_report(classify_rotational_surface(make_fake_paraboloid(0.5)))
         assert nr["case"] == "NotCubic"
+
+
+def _chart_surface(profile):
+    """The rotational surface over the arc-length chart of profile's first band."""
+    chart = ReconstructionMap(profile, feasible_intervals(profile)[0])
+    return RotationalSurface(SurfaceFamily.GENERIC, chart_profile(chart), profile)
