@@ -9,7 +9,7 @@ paraboloids on the lines 2mu + c = 2 and mu + c = 1.
 
 import numpy as np
 
-from spheriq.conics import MomentumCoeffs
+from spheriq.momentum import QuadricMomentum
 from spheriq.surfaces import (
     SurfaceFamily,
     fundamental_forms,
@@ -42,14 +42,14 @@ print(f"umbilical sphere delta=1: L/E = {f.L:+.6f}, N/G = {f.N / f.G:+.6f} "
 # ---------------------------------------------------------------------------
 # 2. a quadric from its momentum coefficients
 # ---------------------------------------------------------------------------
-mc = MomentumCoeffs(-1 / 12, 5 / 3)
-spec = make_quadric(mc)
+profile = QuadricMomentum(-1 / 12, 5 / 3)
+spec = make_quadric(profile.moduli)
 print(f"\n(mu, c) = (-1/12, 5/3) -> {spec.family.value}")
 print(f"cylinder (C, D) = ({spec.cylinder.p:.6f}, {spec.cylinder.q:.6f})")
 print(f"implicit x3^2 + x4^2 = {spec.alpha2:.4f} + {spec.beta2:.4f} x2^2")
 print(f"common form     = {spec.alpha_hat2:.4f} - {spec.beta_hat2:.4f} x1^2")
 
-surface = make_quadric_surface(mc)
+surface = make_quadric_surface(profile)
 lo, hi = surface.s_domain
 s = np.linspace(lo + 0.1, hi - 0.1, 200)
 X = surface_point(surface, s, 0.8)

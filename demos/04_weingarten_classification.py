@@ -9,7 +9,6 @@ relation instead and are correctly rejected.
 
 import numpy as np
 
-from spheriq.conics import MomentumCoeffs
 from spheriq.momentum import QuadricMomentum, SpheroCylindricalMomentum, feasible_intervals
 from spheriq.surfaces import (
     SurfaceFamily,
@@ -53,9 +52,10 @@ print(f"sextic residual for the a=1 sphero-cylindrical profile: "
 # ---------------------------------------------------------------------------
 for mu, c in [(-1.5, 5.0), (0.5, 0.5), (1.0, -1.0)]:
     spec = solve_cubic_weingarten(mu, c).spec
-    ab = "" if spec.a2 is None else f"A2={spec.a2:.6f}  B2={spec.b2:.6f}  "
+    m = spec.moduli
+    ab = "" if m.a2 is None else f"A2={m.a2:.6f}  B2={m.b2:.6f}  "
     print(f"(mu, c) = ({mu:+.2f}, {c:+.2f}) -> {spec.family.value:11s} "
-          f"{ab}C2={spec.c2:.6f}  D2={spec.d2:.6f}")
+          f"{ab}C2={m.c2:.6f}  D2={m.d2:.6f}")
 
 # ---------------------------------------------------------------------------
 # 3. blind classification from curvature samples
@@ -65,9 +65,9 @@ surfaces = [
     ("umbilical delta=1", make_degenerate(SurfaceFamily.UMBILICAL, 1.0)),
     ("Clifford torus", make_degenerate(SurfaceFamily.STANDARD_TORUS, np.pi / 4)),
     ("moon theta=pi/3", make_degenerate(SurfaceFamily.SPHERICAL_MOON, np.pi / 3)),
-    ("quadric I", make_quadric_surface(MomentumCoeffs(-1 / 12, 5 / 3))),
-    ("quadric IIa", make_quadric_surface(MomentumCoeffs(0.5, 0.5))),
-    ("quadric III", make_quadric_surface(MomentumCoeffs(1.0, -1.0))),
+    ("quadric I", make_quadric_surface(QuadricMomentum(-1 / 12, 5 / 3))),
+    ("quadric IIa", make_quadric_surface(QuadricMomentum(0.5, 0.5))),
+    ("quadric III", make_quadric_surface(QuadricMomentum(1.0, -1.0))),
     ("sphero-cylindrical", make_fake_paraboloid(1.0)),
 ]
 print("\nclassifier results")

@@ -8,7 +8,8 @@ coefficients in the cylinder parameters (C, D).
 
 import numpy as np
 
-from spheriq.conics import CylinderConic, MomentumCoeffs, sample_loop
+from spheriq.conics import CylinderConic, sample_loop
+from spheriq.momentum import QuadricMomentum
 from spheriq.projection import (
     cyclide_coeffs,
     cyclide_residual,
@@ -39,12 +40,12 @@ print(f"projected points satisfy the quartic: "
 # ---------------------------------------------------------------------------
 # 2. quadric surfaces project to Darboux cyclides
 # ---------------------------------------------------------------------------
-mc = MomentumCoeffs(-1 / 12, 5 / 3)
-spec = make_quadric(mc)
+profile = QuadricMomentum(-1 / 12, 5 / 3)
+spec = make_quadric(profile.moduli)
 cy = cyclide_coeffs(spec)
 print(f"\nquadric I cyclide: lam = {cy.lam}, L = {cy.L}, "
       f"Q = {cy.q0} + {cy.qx2} x^2 + {cy.qz2} z^2")
-surface = make_quadric_surface(mc)
+surface = make_quadric_surface(profile)
 mesh = mesh_from_surface(surface, ns=80, nt=80, project=True)
 res = cyclide_residual(cy, mesh.vertices)
 print(f"{len(mesh.vertices)} projected vertices: max quartic residual "

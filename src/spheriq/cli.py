@@ -20,14 +20,12 @@ import numpy as np
 from . import __version__
 from .conics import (
     CylinderConic,
-    MomentumCoeffs,
     canonical_form,
     classify,
     conic_report,
     focal_params,
     canonical_residual,
     locus_residual,
-    region_of,
     sample_loop,
     NONDEGENERATE,
 )
@@ -208,8 +206,7 @@ def cmd_reconstruct(args) -> dict:
 
 
 def cmd_quadric(args) -> dict:
-    mu, c = args.quadric
-    surface = make_quadric_surface(MomentumCoeffs(mu, c))
+    surface = make_quadric_surface(QuadricMomentum(*args.quadric))
     report = _base_report("quadric", args)
     report.update(quadric_spec_to_json(surface.quadric))
     if args.obj:
@@ -222,19 +219,20 @@ def cmd_quadric(args) -> dict:
 
 def cmd_classify(args) -> dict:
     report = _base_report("classify", args)
-    # a pair on a degenerate line has no quadric record: classify its profile's chart
-    if args.quadric is not None and region_of(MomentumCoeffs(*args.quadric)) in NONDEGENERATE:
-        surface = make_quadric_surface(MomentumCoeffs(*args.quadric))
-    elif args.fake_paraboloid is not None:
+    if args.fake_paraboloid is not None:
         surface = make_fake_paraboloid(args.fake_paraboloid)
     else:
         profile = _profile_from_args(args)
-        iv = feasible_intervals(profile)[0]
-        surface = RotationalSurface(
-            family=SurfaceFamily.GENERIC,
-            profile=chart_profile(ReconstructionMap(profile, iv)),
-            momentum_profile=profile,
-        )
+        if isinstance(profile, QuadricMomentum) and profile.moduli.region in NONDEGENERATE:
+            surface = make_quadric_surface(profile)
+        else:
+            # a pair on a degenerate line has no quadric record: classify its profile's chart
+            iv = feasible_intervals(profile)[0]
+            surface = RotationalSurface(
+                family=SurfaceFamily.GENERIC,
+                profile=chart_profile(ReconstructionMap(profile, iv)),
+                momentum_profile=profile,
+            )
     report.update(solve_report(classify_rotational_surface(surface)))
     return report
 
@@ -253,8 +251,7 @@ def cmd_verify(args) -> dict:
 def cmd_project(args) -> dict:
     report = _base_report("project", args)
     if args.quadric is not None:
-        mu, c = args.quadric
-        surface = make_quadric_surface(MomentumCoeffs(mu, c))
+        surface = make_quadric_surface(QuadricMomentum(*args.quadric))
         spec = surface.quadric
         coeffs = cyclide_coeffs(spec)
         mesh = mesh_from_surface(surface, ns=96, nt=96, project=True)

@@ -9,10 +9,15 @@ converts between the descriptions, classifies the three essential types,
 and computes the two coefficients (mu, c) of the squared angular momentum
 K(z)^2 = z^2 / (mu + c z^2).
 
-The map from the cylinder squares to (mu, c) is inverted exactly: A^2, B^2
-are the roots of X^2 - S X + P with S = (mu + c + 1)/c, P = 1/c, and D^2 is
-the larger root of c X^2 + (mu - c + 1) X - mu with
-C^2 = D^2 / (1 - c (1 - D^2)^2).
+The map from the cylinder squares to (mu, c) is inverted from one exactly
+evaluated discriminant, disc = (mu - c + 1)^2 + 4 c mu.  X = D^2 is the larger
+root of c X^2 - ((c - 1) - mu) X - mu, whose roots are the squared turning
+latitudes, and Y = 1 - D^2 a root of c Y^2 - (mu + c + 1) Y + 1, whose roots
+are A^2 and B^2 = Y on types I and II; on type III Y is its negative root.
+Each root comes through the root product, and the complements follow with no
+difference of nearby numbers: A^2 - 1 = mu / (c X), A^2 - B^2 = sqrt(disc) / c,
+1 - C^2 = mu Y / (mu + c X^2), C^2 = X^2 / (Y (mu + c X^2)) and
+C^2 - D^2 = c C^2 Y^2.
 """
 
 from __future__ import annotations
@@ -291,114 +296,129 @@ def locus_residual(p: np.ndarray, f: FocalConic) -> float | np.ndarray:
 
 
 def momentum_coeffs(conic: CylinderConic) -> MomentumCoeffs:
-    """(mu, c) of the conic's squared angular momentum."""
+    """(mu, c) of the conic's squared angular momentum.  The forward maps take
+    the semi-axes and form each difference of squares as (p - q)(p + q), exact
+    relative to the semi-axes where a square lies near 1 or the other one."""
     cls = classify(conic)
     if cls not in NONDEGENERATE:
         raise Degenerate(f"{cls.value} conic has no (mu, c) coefficients")
     if conic.kind is ConicKind.VERTICAL:
-        return momentum_from_vertical(conic.p ** 2, conic.q ** 2)
-    return momentum_from_horizontal(conic.p ** 2, conic.q ** 2)
+        return momentum_from_vertical(conic.p, conic.q)
+    return momentum_from_horizontal(conic.p, conic.q)
 
 
-def momentum_from_vertical(a2: float, b2: float) -> MomentumCoeffs:
-    """Forward map (A^2, B^2) -> (mu, c)."""
-    return MomentumCoeffs(mu=(a2 - 1.0) * (1.0 - b2) / (a2 * b2), c=1.0 / (a2 * b2))
+def momentum_from_vertical(a: float, b: float) -> MomentumCoeffs:
+    """Forward map (A, B) -> mu = (A^2 - 1)(1 - B^2) / (A^2 B^2), c = 1 / (A^2 B^2)."""
+    ab2 = (a * b) ** 2
+    return MomentumCoeffs(mu=(a - 1.0) * (a + 1.0) * ((1.0 - b) * (1.0 + b)) / ab2, c=1.0 / ab2)
 
 
-def momentum_from_horizontal(c2: float, d2: float) -> MomentumCoeffs:
-    """Forward map (C^2, D^2) -> (mu, c)."""
-    den = c2 * (1.0 - d2) ** 2
-    return MomentumCoeffs(mu=d2 * d2 * (1.0 - c2) / den, c=(c2 - d2) / den)
+def momentum_from_horizontal(p: float, q: float) -> MomentumCoeffs:
+    """Forward map (C, D) -> mu = D^4 (1 - C^2) / den, c = (C^2 - D^2) / den
+    with den = C^2 (1 - D^2)^2."""
+    q2 = q * q
+    den = (p * ((1.0 - q) * (1.0 + q))) ** 2
+    return MomentumCoeffs(mu=q2 * q2 * ((1.0 - p) * (1.0 + p)) / den, c=(p - q) * (p + q) / den)
 
 
-def discriminant(mc: MomentumCoeffs) -> float:
-    """(mu - c + 1)^2 + 4 c mu, positive on every admissible region.
+@dataclass(frozen=True)
+class Moduli:
+    """Where (mu, c) lies in the moduli plane, and the cylinder squares it fixes.
 
-    Evaluated exactly in rationals and rounded once: near the type-I
-    boundary its terms cancel, and rounding them would cost the turning
-    points their digits.
+    `locate` builds one record per pair.  t_lo < d2 are the roots of the
+    horizontal quadratic, the squared turning latitudes; one_minus_d2 and
+    1 - t_lo are those of the vertical one, so that b2 = 1 - D^2 and
+    t_lo = 1 - A^2 on types I and II, where 1 - B^2 is d2 itself.  disc and
+    the squares are None on the degenerate lines, and the vertical
+    cylinder's fields on type III.
     """
-    mu, c = Fraction(mc.mu), Fraction(mc.c)
-    exact = (mu - c + 1) ** 2 + 4 * c * mu
+
+    mu: float
+    c: float
+    region: ConicClass
+    disc: float | None = None
+    t_lo: float | None = None
+    d2: float | None = None
+    one_minus_d2: float | None = None
+    c2: float | None = None
+    one_minus_c2: float | None = None
+    c2_minus_d2: float | None = None
+    a2: float | None = None
+    b2: float | None = None
+    a2_minus_b2: float | None = None
+
+
+def _discriminant(mu: float, c: float) -> float:
+    """(mu - c + 1)^2 + 4 c mu in rationals, rounded once: near the type-I
+    boundary its terms cancel, and rounding them would cost the roots digits."""
+    m, k = Fraction(mu), Fraction(c)
     try:
-        return float(exact)
+        return float((m - k + 1) ** 2 + 4 * k * m)
     except OverflowError:
-        raise BadParameter(f"(mu={mc.mu}, c={mc.c}) is beyond double range") from None
+        raise BadParameter(f"(mu={mu}, c={c}) is beyond double range") from None
 
 
-def turning_squares(mc: MomentumCoeffs) -> tuple[float, float]:
-    """Both roots of c X^2 + (mu - c + 1) X - mu, smaller first.
-
-    They are the zeros in X = z^2 of (1 - z^2 - K^2)(mu + c z^2), i.e. the
-    squared turning latitudes of K, and the larger one is the horizontal
-    cylinder's D^2.  The root of smaller magnitude comes from the root
-    product, so neither cancels.
-    """
-    if mc.c == 0.0:
-        raise OutOfRegion("turning squares need c != 0")
-    disc = discriminant(mc)
-    if disc <= 0.0:
-        raise OutOfRegion(f"negative discriminant {disc} for (mu={mc.mu}, c={mc.c})")
-    b = mc.c - mc.mu - 1.0
-    q = 0.5 * (b + math.copysign(math.sqrt(disc), b))
-    r1, r2 = q / mc.c, -mc.mu / q
+def _roots(a: float, b: float, k: float, sq: float) -> tuple[float, float]:
+    """Both roots (b -+ sq) / (2 a) of a x^2 - b x + k, sq^2 its discriminant,
+    smaller first; the one of smaller magnitude comes from the root product
+    k / a, so neither cancels."""
+    q = 0.5 * (b + math.copysign(sq, b))
+    r1, r2 = q / a, k / q
     return (r1, r2) if r1 <= r2 else (r2, r1)
 
 
-def vertical_squares(mu: float, c: float) -> tuple[float, float]:
-    """(A^2, B^2): roots of X^2 - S X + P, largest first; needs c > 0."""
-    if c <= 0:
-        raise OutOfRegion("vertical cylinders require c > 0")
-    disc = discriminant(MomentumCoeffs(mu, c))
-    if disc <= 0:
-        raise OutOfRegion(f"negative discriminant {disc} for (mu={mu}, c={c})")
-    sq = np.sqrt(disc)
-    a2 = (mu + c + 1.0 + sq) / (2.0 * c)
-    # second root through the product A^2 B^2 = P = 1/c avoids cancellation
-    b2 = 1.0 / (c * a2)
-    if a2 <= 0 or b2 <= 0:
-        raise OutOfRegion(f"no positive root pair for (mu={mu}, c={c})")
-    return float(a2), float(b2)
+def _square(s: float, k: float) -> float:
+    """A square s given its complement k = 1 - s, each computed on its own:
+    within 1/2 of 1, where rounding s could cross 1, 1 - k is as accurate
+    as k and on the side of 1 that k's sign says."""
+    return 1.0 - k if abs(k) <= 0.5 else s
 
 
-def horizontal_squares(mu: float, c: float) -> tuple[float, float]:
-    """(C^2, D^2) with D^2 the larger root of c X^2 + (mu - c + 1) X - mu."""
-    d2 = turning_squares(MomentumCoeffs(mu, c))[1]
-    if d2 <= 0:
-        raise OutOfRegion(f"no positive D^2 for (mu={mu}, c={c})")
-    den = 1.0 - c * (1.0 - d2) ** 2
-    if den <= 0:
-        raise OutOfRegion(f"C^2 undefined for (mu={mu}, c={c})")
-    return float(d2 / den), float(d2)
-
-
-def region_of(mc: MomentumCoeffs) -> ConicClass:
+def locate(mu: float, c: float) -> Moduli:
     """Locate (mu, c) in the moduli plane of conic classes.
 
-    The one test of (mu, c) against the region boundaries: the momentum
-    band, the cubic case tree and the quadric records all branch on the
-    class returned here.  Raises OutOfRegion outside every region.
+    The one test of (mu, c) against the region boundaries, and the one
+    solve for its squares: the momentum band, the cubic case tree and the
+    quadric records all read this record.  Raises OutOfRegion outside every
+    region.
     """
-    mu, c = mc.mu, mc.c
     if mu == 0.0:
         if c > 1.0:
-            return ConicClass.DEGENERATE_GREAT_CIRCLE
+            return Moduli(mu, c, ConicClass.DEGENERATE_GREAT_CIRCLE)
         raise OutOfRegion(f"mu=0 needs c > 1, got c={c}")
     if c == 0.0:
         if mu > 0.0:
-            return ConicClass.DEGENERATE_SMALL_CIRCLE
+            return Moduli(mu, c, ConicClass.DEGENERATE_SMALL_CIRCLE)
         raise OutOfRegion(f"c=0 needs mu > 0, got mu={mu}")
-    if mu < 0.0:
-        if mu + c > 1.0 and discriminant(mc) > 0.0:
-            if abs(2 * mu + c - 2) <= PARABOLA_TOL and c > 4.0:
-                return ConicClass.PARABOLA_I
-            return ConicClass.TYPE_I
-        raise OutOfRegion(f"(mu={mu}, c={c}) violates the mu<0 constraints")
-    if c > 0.0:
-        if abs(mu + c - 1) <= PARABOLA_TOL:
-            return ConicClass.PARABOLA_II
-        return ConicClass.TYPE_II
-    return ConicClass.TYPE_III
+    type_i = f"(mu={mu}, c={c}) violates the mu<0 constraints"
+    if mu > 0.0:
+        if c < 0.0:
+            region = ConicClass.TYPE_III
+        elif abs(mu + c - 1) <= PARABOLA_TOL:
+            region = ConicClass.PARABOLA_II
+        else:
+            region = ConicClass.TYPE_II
+    elif not mu + c > 1.0:
+        raise OutOfRegion(type_i)
+    elif abs(2 * mu + c - 2) <= PARABOLA_TOL and c > 4.0:
+        region = ConicClass.PARABOLA_I
+    else:
+        region = ConicClass.TYPE_I
+    disc = _discriminant(mu, c)
+    if not disc > 0.0:  # (mu + c - 1)^2 + 4 mu on type II, positive on II and III
+        raise OutOfRegion(type_i)
+    sq = math.sqrt(disc)
+    # (c - 1) - mu, not c - mu - 1: the first difference is exact for c near 1
+    t_lo, x = _roots(c, (c - 1.0) - mu, -mu, sq)
+    y, a2 = _roots(c, mu + c + 1.0, 1.0, sq)
+    den = mu + c * x * x
+    one_minus_c2 = mu * y / den
+    c2 = _square(x * x / (y * den), one_minus_c2)
+    vertical = dict(a2=_square(a2, t_lo), b2=y, a2_minus_b2=sq / c) if c > 0.0 else {}
+    return Moduli(
+        mu, c, region, disc, t_lo=t_lo, d2=x, one_minus_d2=y, c2=c2,
+        one_minus_c2=one_minus_c2, c2_minus_d2=c * c2 * y * y, **vertical,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ integrand calls after the chart is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
 
-from .conics import TYPE_I_CLASSES, ConicClass, MomentumCoeffs, region_of, turning_squares
+from .conics import TYPE_I_CLASSES, ConicClass, Moduli, locate
 from .errors import (
     BadParameter,
     DegenerateInput,
@@ -150,27 +151,30 @@ class QuadricMomentum(MomentumProfile):
         den = self._den(z)  # den ** 3 would underflow for den below ~1e-103
         return self.mu / (den * np.sqrt(den))
 
+    @cached_property
+    def moduli(self) -> Moduli:
+        """The pair's record, located once per profile; OutOfRegion outside."""
+        return locate(self.mu, self.c)
+
     def turning_points(self):
         # g (mu + c t) = q(t) = -c t^2 + (c - mu - 1) t + mu with q(0) = mu and
         # q(1) = -1, and g -> -inf where mu + c t -> 0+.  On the umbilical line
         # c = 0 q is linear; on types II and III (mu > 0) the band runs from the
         # equator to the first positive root of q; on type I (mu < 0) it lies
         # between both roots, which are real and inside the domain mu + c t > 0.
-        mc = MomentumCoeffs(self.mu, self.c)
         try:
-            region = region_of(mc)
+            m = self.moduli
         except OutOfRegion:
             raise NoFeasibleRegion("K(z)^2 + z^2 < 1 holds nowhere") from None
-        if region is ConicClass.DEGENERATE_SMALL_CIRCLE:
+        if m.region is ConicClass.DEGENERATE_SMALL_CIRCLE:
             return 0.0, self.mu / (self.mu + 1.0)
-        t1, t2 = turning_squares(mc)
-        if region in TYPE_I_CLASSES:
-            if t1 <= 0.0:
+        if m.region in TYPE_I_CLASSES:
+            if m.t_lo <= 0.0:
                 raise UnresolvedBand(
-                    f"type-I band end z_lo^2 = {t1!r} underflows to the equator"
+                    f"type-I band end z_lo^2 = {m.t_lo!r} underflows to the equator"
                 )
-            return t1, t2
-        return 0.0, (t1 if region is ConicClass.TYPE_III else t2)
+            return m.t_lo, m.d2
+        return 0.0, (m.t_lo if m.region is ConicClass.TYPE_III else m.d2)
 
     def h_factor(self, z, z_lo, z_hi):
         # g (mu + c z^2) = -c (z^2 - r1)(z^2 - r2); the interval endpoints are

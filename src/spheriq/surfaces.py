@@ -27,10 +27,7 @@ from .conics import (
     TYPE_II_CLASSES,
     ConicClass,
     CylinderConic,
-    MomentumCoeffs,
-    horizontal_squares,
-    region_of,
-    vertical_squares,
+    Moduli,
 )
 from .errors import (
     BadParameter,
@@ -72,7 +69,8 @@ class QuadricSpec:
 
     alpha2/beta2 coefficients belong to the family equation in x2,
     alpha_hat2/beta_hat2 to the common form in x1; the cylinder record is
-    horizontal (C, D) for families I/IIa/III and vertical (A, B) for IIb.
+    horizontal (C, D) for families I/IIa/III and vertical (B, A) for IIb.
+    moduli is the (mu, c) record with every cylinder square and complement.
     """
 
     family: SurfaceFamily
@@ -81,11 +79,7 @@ class QuadricSpec:
     alpha_hat2: float
     beta_hat2: float
     cylinder: CylinderConic
-    momentum: MomentumCoeffs
-    a2: float | None = None
-    b2: float | None = None
-    c2: float | None = None
-    d2: float | None = None
+    moduli: Moduli
 
 
 # ---------------------------------------------------------------------------
@@ -288,66 +282,52 @@ def implicit_residuals(surface: RotationalSurface, q: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def make_quadric(mc: MomentumCoeffs, prolate: bool = False) -> QuadricSpec:
-    """Quadric-surface record for momentum coefficients in a valid region.
+def make_quadric(m: Moduli, prolate: bool = False) -> QuadricSpec:
+    """Quadric-surface record for a (mu, c) record in a valid region.
 
     Families I, IIa and III share the horizontal-cylinder layout: the common
     form has alpha_hat^2 = D^2 and beta_hat^2 = D^2 / C^2.  With prolate=True
     a type-II pair is emitted as the prolate ellipsoid (family IIb, vertical
-    cylinder with A < 1 < B) instead of the two-piece hyperboloid IIa; the
-    two coincide up to a translation along the axis of revolution.
+    cylinder with B < 1 < A) instead of the two-piece hyperboloid IIa; the
+    two coincide up to a translation along the axis of revolution.  The
+    coefficients are the record's squares and complements, signed by region.
     """
-    region = region_of(mc)  # raises OutOfRegion outside the moduli regions
-    mu, c = mc.mu, mc.c
-    if prolate and region not in TYPE_II_CLASSES:
+    if prolate and m.region not in TYPE_II_CLASSES:
         raise OutOfRegion("prolate form exists only for type-II coefficients")
-    if region not in NONDEGENERATE:
-        raise OutOfRegion(f"(mu={mu}, c={c}) is {region.value}, not a quadric region")
-    c2, d2 = horizontal_squares(mu, c)
-    a2 = b2 = None
-    if region is ConicClass.TYPE_III:
-        if not (0 < c2 < 1 < d2):
-            raise OutOfRegion(f"inverse maps left the type-III region: {c2}, {d2}")
-        family = SurfaceFamily.QUADRIC_III
-        alpha2, beta2 = d2 * (1 - c2) / (d2 - c2), d2 / (d2 - c2)
+    if m.region not in NONDEGENERATE:
+        raise OutOfRegion(f"(mu={m.mu}, c={m.c}) is {m.region.value}, not a quadric region")
+    if m.region is ConicClass.TYPE_III:
+        family, beta2 = SurfaceFamily.QUADRIC_III, m.d2 / -m.c2_minus_d2  # D^2 / (D^2 - C^2)
+    elif prolate:
+        return QuadricSpec(
+            family=SurfaceFamily.QUADRIC_IIB,
+            alpha2=m.d2,  # 1 - B^2
+            beta2=m.a2_minus_b2 / m.a2,
+            alpha_hat2=-m.t_lo,  # A^2 - 1
+            beta_hat2=m.a2_minus_b2 / m.b2,
+            cylinder=CylinderConic.vertical(np.sqrt(m.b2), np.sqrt(m.a2)),
+            moduli=m,
+        )
     else:
-        a2, b2 = vertical_squares(mu, c)
-        if region in TYPE_I_CLASSES:
-            if not (0 < b2 < a2 < 1 and 0 < d2 < 1 < c2):
-                raise OutOfRegion(f"inverse maps left the type-I region: {a2}, {b2}, {c2}, {d2}")
-            family = SurfaceFamily.QUADRIC_I
-        elif not (0 < b2 < 1 < a2 and 0 < d2 < c2 < 1):
-            raise OutOfRegion(f"inverse maps left the type-II region: {a2}, {b2}, {c2}, {d2}")
-        elif prolate:
-            return QuadricSpec(
-                family=SurfaceFamily.QUADRIC_IIB,
-                alpha2=1.0 - b2,
-                beta2=(a2 - b2) / a2,
-                alpha_hat2=a2 - 1.0,
-                beta_hat2=a2 / b2 - 1.0,
-                cylinder=CylinderConic.vertical(np.sqrt(b2), np.sqrt(a2)),
-                momentum=mc,
-                a2=b2, b2=a2, c2=c2, d2=d2,
-            )
-        else:
-            family = SurfaceFamily.QUADRIC_IIA
-        alpha2, beta2 = abs(1.0 - a2), (a2 - b2) / b2
+        type_i = m.region in TYPE_I_CLASSES
+        family = SurfaceFamily.QUADRIC_I if type_i else SurfaceFamily.QUADRIC_IIA
+        beta2 = m.a2_minus_b2 / m.b2  # (A^2 - B^2) / B^2
+    # alpha^2 is |1 - A^2| on types I and II and D^2 (1 - C^2) / (D^2 - C^2)
+    # on type III; the closed forms reduce both to |t_lo|
     return QuadricSpec(
         family=family,
-        alpha2=alpha2,
+        alpha2=abs(m.t_lo),
         beta2=beta2,
-        alpha_hat2=d2,
-        beta_hat2=d2 / c2,
-        cylinder=CylinderConic.horizontal(np.sqrt(c2), np.sqrt(d2)),
-        momentum=mc,
-        a2=a2, b2=b2, c2=c2, d2=d2,
+        alpha_hat2=m.d2,
+        beta_hat2=m.d2 / m.c2,
+        cylinder=CylinderConic.horizontal(np.sqrt(m.c2), np.sqrt(m.d2)),
+        moduli=m,
     )
 
 
-def make_quadric_surface(mc: MomentumCoeffs, prolate: bool = False) -> RotationalSurface:
-    """Rotational surface over the canonical conic for coefficients (mu, c)."""
-    spec = make_quadric(mc, prolate=prolate)
-    profile = QuadricMomentum(mc.mu, mc.c)
+def make_quadric_surface(profile: QuadricMomentum, prolate: bool = False) -> RotationalSurface:
+    """Rotational surface over the canonical conic of a quadric profile."""
+    spec = make_quadric(profile.moduli, prolate=prolate)
     # longitude origin placing the reconstructed loop on the canonical cylinder
     lambda0 = np.pi / 2 if spec.family is SurfaceFamily.QUADRIC_IIA else 0.0
     # the last band is the positive one of type I's two mirrored bands
@@ -432,13 +412,15 @@ def quadric_spec_to_json(spec: QuadricSpec) -> dict:
             "p": spec.cylinder.p,
             "q": spec.cylinder.q,
         },
-        "mu": spec.momentum.mu,
-        "c": spec.momentum.c,
-        "A2": spec.a2,
-        "B2": spec.b2,
-        "C2": spec.c2,
-        "D2": spec.d2,
+        "mu": spec.moduli.mu,
+        "c": spec.moduli.c,
+        **squares_json(spec.moduli),
     }
+
+
+def squares_json(m: Moduli | None) -> dict:
+    """A report's cylinder squares A2, B2, C2, D2, all None without a record."""
+    return {k: None if m is None else getattr(m, k.lower()) for k in ("A2", "B2", "C2", "D2")}
 
 
 def make_fake_paraboloid(a: float) -> RotationalSurface:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conics import ConicClass, MomentumCoeffs, region_of
+from .conics import ConicClass, locate
 from .errors import IllConditioned, TooFewSamples, UnresolvedBand
 from .momentum import (
     ConstantMomentum,
@@ -35,6 +35,7 @@ from .surfaces import (
     principal_curvatures_analytic,
     quadric_residuals,
     revolve,
+    squares_json,
 )
 
 
@@ -146,21 +147,20 @@ class NotCubic:
 def solve_cubic_weingarten(mu: float, c: float) -> CubicSolveResult:
     """Dispatch (mu, c) through the exact case tree of the cubic relation.
 
-    region_of decides: mu = 0 yields spherical moons (the equatorial sphere
+    locate decides: mu = 0 yields spherical moons (the equatorial sphere
     is the K = 0 member, which only curvature data can single out), c = 0
     umbilical spheres with mu = 1/sinh^2(delta), and the quadric regions a
     QuadricSpec.  Standard tori have constant latitude and no (mu, c); the
     classifier detects them from the profile, see classify_rotational_surface.
     """
-    mc = MomentumCoeffs(mu, c)
-    region = region_of(mc)  # raises OutOfRegion outside the moduli regions
-    if region is ConicClass.DEGENERATE_GREAT_CIRCLE:
+    m = locate(mu, c)  # raises OutOfRegion outside the moduli regions
+    if m.region is ConicClass.DEGENERATE_GREAT_CIRCLE:
         theta = float(np.arccos(1.0 / np.sqrt(c)))
         return CubicSolveResult(case=SurfaceFamily.SPHERICAL_MOON, mu=0.0, c=c, theta=theta)
-    if region is ConicClass.DEGENERATE_SMALL_CIRCLE:
+    if m.region is ConicClass.DEGENERATE_SMALL_CIRCLE:
         delta = float(np.arcsinh(1.0 / np.sqrt(mu)))
         return CubicSolveResult(case=SurfaceFamily.UMBILICAL, mu=mu, c=0.0, delta=delta)
-    spec = make_quadric(mc)
+    spec = make_quadric(m)
     return CubicSolveResult(case=spec.family, mu=mu, c=c, spec=spec)
 
 
@@ -242,18 +242,14 @@ def solve_report(result: CubicSolveResult | NotCubic) -> dict:
             "case": "NotCubic",
             "mu": result.mu_best,
             "c": None,
-            "A2": None, "B2": None, "C2": None, "D2": None,
+            **squares_json(None),
             "residual_max": result.residual_max,
         }
-    spec = result.spec
     return {
         "case": result.case.value,
         "mu": result.mu,
         "c": result.c,
-        "A2": None if spec is None else spec.a2,
-        "B2": None if spec is None else spec.b2,
-        "C2": None if spec is None else spec.c2,
-        "D2": None if spec is None else spec.d2,
+        **squares_json(None if result.spec is None else result.spec.moduli),
         "residual_max": result.residual_max,
         **({"delta": result.delta} if result.delta is not None else {}),
         **({"phi0": result.phi0} if result.phi0 is not None else {}),

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from spheriq.conics import MomentumCoeffs, region_of
+from spheriq.conics import locate
 from spheriq.errors import IOFailure, OutOfRegion
 from spheriq.projection import Mesh
 from spheriq.sphere import CSV_HEADER, SampledCurve
@@ -174,27 +174,31 @@ def quad_arc_length(p, iv, u) -> float:
     return quad(f, -np.pi / 2, float(u), epsabs=5e-14, epsrel=5e-14, limit=200)[0]
 
 
-# exponent ranges of |mu| and |c| in the two coverage grids
-COVERAGE_GRIDS = {"moderate": ((-3.0, 1.0), (-2.0, 1.5)), "wide": ((-9.0, 1.5), (-3.0, 2.0))}
+# exponent ranges of |mu| and |c| in each coverage grid, and its seed
+COVERAGE_GRIDS = {
+    "moderate": ((-3.0, 1.0), (-2.0, 1.5), 0),
+    "wide": ((-9.0, 1.5), (-3.0, 2.0), 0),
+    "extreme": ((-12.0, 12.0), (-12.0, 12.0), 1),
+}
 
 
 def coverage_pairs(grid: str, n: int) -> list[tuple[str, str]]:
     """The first n (mu, c) of a coverage grid, as CLI tokens.
 
-    With default_rng(0) each draw takes the sign of mu, |mu| = 10^U, the
-    sign of c and |c| = 10^U in turn; a pair is kept if region_of accepts it.
-    At n = 877 (moderate) and 893 (wide) the grids hold 133/354/390 and
-    149/354/390 pairs of types I/II/III.
+    With default_rng(seed) each draw takes the sign of mu, |mu| = 10^U, the
+    sign of c and |c| = 10^U in turn; a pair is kept if locate accepts it.
+    At n = 877 (moderate), 893 (wide) and 300 (extreme) the grids hold
+    133/354/390, 149/354/390 and 46/129/125 pairs of types I/II/III.
     """
-    (mu_lo, mu_hi), (c_lo, c_hi) = COVERAGE_GRIDS[grid]
-    rng = np.random.default_rng(0)
+    (mu_lo, mu_hi), (c_lo, c_hi), seed = COVERAGE_GRIDS[grid]
+    rng = np.random.default_rng(seed)
     out = []
     while len(out) < n:
         mu = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(mu_lo, mu_hi)
         c = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(c_lo, c_hi)
         mu, c = (np.format_float_positional(x, unique=True, trim="-") for x in (mu, c))
         try:
-            region_of(MomentumCoeffs(float(mu), float(c)))
+            locate(float(mu), float(c))
         except OutOfRegion:
             continue
         out.append((mu, c))

@@ -9,19 +9,16 @@ import pytest
 
 from spheriq.conics import (
     CylinderConic,
-    MomentumCoeffs,
     canonical_form,
     canonical_residual,
     classify,
-    discriminant,
     focal_params,
-    horizontal_squares,
+    locate,
     locus_residual,
     momentum_coeffs,
     momentum_from_horizontal,
     momentum_from_vertical,
     sample_loop,
-    vertical_squares,
 )
 from spheriq.momentum import (
     ConstantMomentum,
@@ -85,25 +82,23 @@ def test_01_inverse_map_roundtrips(rng):
     for region in ("I", "II", "III"):
         for _ in range(1000):
             mu, c = draw_region(rng, region)
+            m = locate(mu, c)
             if c > 0:  # vertical route exists only for positive c
-                a2, b2 = vertical_squares(mu, c)
-                mc = momentum_from_vertical(a2, b2)
+                mc = momentum_from_vertical(np.sqrt(m.a2), np.sqrt(m.b2))
                 worst = max(worst, abs(mc.mu - mu) / abs(mu), abs(mc.c - c) / abs(c))
-            c2, d2 = horizontal_squares(mu, c)
-            mc = momentum_from_horizontal(c2, d2)
+            mc = momentum_from_horizontal(np.sqrt(m.c2), np.sqrt(m.d2))
             worst = max(worst, abs(mc.mu - mu) / abs(mu), abs(mc.c - c) / abs(c))
     report(1, "inverse-map roundtrips", worst < 1e-12, f"worst rel err {worst:.2e}")
 
 
 def test_02_fixed_point_spot_values():
-    a2, b2 = vertical_squares(-1.5, 5.0)
-    ok = a2 == 0.5
-    ok &= abs(discriminant(MomentumCoeffs(-1.5, 5.0)) - 0.25) < 1e-15
-    a2, b2 = vertical_squares(0.5, 0.5)
-    ok &= abs(a2 + b2 - 4.0) < 1e-12
-    ok &= abs(2 * a2 * b2 - 4.0) < 1e-12
-    _, d2 = horizontal_squares(1.0, -1.0)
-    ok &= abs(d2 - (3 + np.sqrt(5)) / 2) < 1e-12
+    m = locate(-1.5, 5.0)
+    ok = m.a2 == 0.5
+    ok &= abs(m.disc - 0.25) < 1e-15
+    m = locate(0.5, 0.5)
+    ok &= abs(m.a2 + m.b2 - 4.0) < 1e-12
+    ok &= abs(2 * m.a2 * m.b2 - 4.0) < 1e-12
+    ok &= abs(locate(1.0, -1.0).d2 - (3 + np.sqrt(5)) / 2) < 1e-12
     report(2, "fixed-point spot values", bool(ok))
 
 
@@ -124,7 +119,7 @@ def test_03_cubic_weingarten_identity(rng):
     for region in ("I", "II", "III"):
         for _ in range(6):
             mu, c = draw_region(rng, region)
-            S = make_quadric_surface(MomentumCoeffs(mu, c))
+            S = make_quadric_surface(QuadricMomentum(mu, c))
             lo, hi = S.s_domain
             for s in np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 5):
                 z = float(S.profile.point(np.array([s]))[0, 2])
@@ -237,8 +232,8 @@ def test_08_projection_quartics(rng):
         worst_spiric = max(worst_spiric, np.max(np.abs(spiric_residual(coeffs, uv))))
     worst_cyclide = 0.0
     for mu, c in [(-1 / 12, 5 / 3), (0.7, 1.1), (1.0, -1.0)]:
-        spec = make_quadric(MomentumCoeffs(mu, c))
-        S = make_quadric_surface(MomentumCoeffs(mu, c))
+        spec = make_quadric(locate(mu, c))
+        S = make_quadric_surface(QuadricMomentum(mu, c))
         mesh = mesh_from_surface(S, ns=100, nt=100, project=True)
         assert len(mesh.vertices) >= 10_000
         worst_cyclide = max(
@@ -246,7 +241,7 @@ def test_08_projection_quartics(rng):
             np.max(np.abs(cyclide_residual(cyclide_coeffs(spec), mesh.vertices))),
         )
     s = spiric_coeffs(CylinderConic.horizontal(2.0, 0.5))
-    co = cyclide_coeffs(make_quadric(MomentumCoeffs(-1 / 12, 5 / 3)))
+    co = cyclide_coeffs(make_quadric(locate(-1 / 12, 5 / 3)))
     spots = (
         abs(s.a - 1.5) < 1e-12
         and abs(s.b - 5 / 3) < 1e-12
@@ -292,7 +287,7 @@ def test_09_classifier_battery(rng):
     for _ in range(6):
         quadrics.append(draw_region(rng, "III"))
     for mu, c in quadrics:
-        surface = make_quadric_surface(MomentumCoeffs(mu, c))
+        surface = make_quadric_surface(QuadricMomentum(mu, c))
         battery.append((surface, surface.family, (mu, c)))
     battery.append((make_fake_paraboloid(1.0), "NotCubic", None))
     battery.append((make_fake_paraboloid(0.5), "NotCubic", None))

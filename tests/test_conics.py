@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,16 +11,14 @@ from spheriq.conics import (
     CylinderConic,
     FocalAxis,
     FocalConic,
-    MomentumCoeffs,
     canonical_residual,
     classify,
     cylinder_point,
-    discriminant,
     focal_params,
+    locate,
     locus_residual,
     momentum_coeffs,
     other_cylinder,
-    region_of,
     sample_loop,
 )
 from spheriq.errors import (
@@ -370,6 +371,28 @@ class TestMomentumCoeffs:
             assert abs(mv.mu - mh.mu) < 1e-12 * max(1, abs(mv.mu))
             assert abs(mv.c - mh.c) < 1e-12 * max(1, abs(mv.c))
 
+    @pytest.mark.parametrize(
+        "kind, p, q",
+        [
+            ("horizontal", 2.0, 0.5),
+            ("vertical", 1.2, 0.5),
+            # a semi-axis 1e-9 from 1: the square's complement carries mu
+            ("horizontal", 0.999999999, 0.5),
+            ("vertical", 1.000000003, 0.3),
+        ],
+    )
+    def test_mu_within_4_ulp_of_forward_image(self, kind, p, q):
+        # the forward map at 60 digits from the same float semi-axes
+        with mpmath.workdps(60):
+            p2, q2 = mpmath.mpf(p) ** 2, mpmath.mpf(q) ** 2
+            if kind == "vertical":
+                mu = (p2 - 1) * (1 - q2) / (p2 * q2)
+            else:
+                mu = q2 * q2 * (1 - p2) / (p2 * (1 - q2) ** 2)
+            mu = float(mu)
+        got = momentum_coeffs(getattr(CylinderConic, kind)(p, q)).mu
+        assert abs(got - mu) <= 4 * math.ulp(mu)
+
     def test_quarter_rotation_invariance(self):
         # a z-rotation cannot change the angular momentum coefficients
         h = CylinderConic.horizontal(0.5, 0.8)
@@ -385,7 +408,7 @@ class TestMomentumCoeffs:
             conic = CylinderConic.horizontal(c, d)
             mc = momentum_coeffs(conic)
             target = d**4 / (c**4 * (1 - d * d) ** 2)
-            assert abs(discriminant(mc) - target) < 1e-10 * max(1, target)
+            assert abs(locate(mc.mu, mc.c).disc - target) < 1e-10 * max(1, target)
 
     def test_sampled_momentum_agreement(self):
         conic = CylinderConic.horizontal(2.0, 0.5)
@@ -413,12 +436,12 @@ class TestRegions:
         ],
     )
     def test_regions(self, mu, c, expected):
-        assert region_of(MomentumCoeffs(mu, c)) is expected
+        assert locate(mu, c).region is expected
 
     @pytest.mark.parametrize("mu,c", [(-0.5, 1.2), (0.0, 0.5), (-1.0, 0.0), (-2.0, -1.0)])
     def test_out_of_region(self, mu, c):
         with pytest.raises(OutOfRegion):
-            region_of(MomentumCoeffs(mu, c))
+            locate(mu, c)
 
     def test_classified_conics_land_in_their_region(self, rng):
         matching = {
@@ -431,7 +454,8 @@ class TestRegions:
         for _ in range(300):
             conic = random_nondegenerate(rng)
             cls = classify(conic)
-            assert region_of(momentum_coeffs(conic)) is matching[cls]
+            mc = momentum_coeffs(conic)
+            assert locate(mc.mu, mc.c).region is matching[cls]
 
 
 class TestRepresentationConsistency:

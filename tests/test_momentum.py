@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad, solve_ivp
 
-from spheriq.conics import MomentumCoeffs
 from spheriq.errors import (
     BadParameter,
     DegenerateInput,
@@ -122,7 +121,7 @@ class TestFeasibleIntervals:
                 assert abs(real[i_hi] - iv.z_hi) < 1e-11
                 assert i_lo < i_hi
         for mu, c in self.NARROW_I + self.NARROW_EQ:
-            make_quadric_surface(MomentumCoeffs(mu, c))
+            make_quadric_surface(QuadricMomentum(mu, c))
         # |K'| reaches 1e3 on the mu ~ 1e-6 profiles, beyond the curvature
         # that SampledCurve's chord-speed check admits, so only the type-I
         # curves are sampled

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spheriq.conics import CylinderConic, MomentumCoeffs, sample_loop
+from spheriq.conics import CylinderConic, locate, sample_loop
 from spheriq.errors import AtPole, DegenerateProjection, IOFailure, MissingParams
+from spheriq.momentum import QuadricMomentum
 from spheriq.projection import (
     CyclideCoeffs,
     Mesh,
@@ -122,15 +123,15 @@ class TestSpiric:
 
 class TestCyclide:
     def test_spot_coefficients(self):
-        spec = make_quadric(MomentumCoeffs(-1.0 / 12.0, 5.0 / 3.0))  # C=2, D=0.5
+        spec = make_quadric(locate(-1.0 / 12.0, 5.0 / 3.0))  # C=2, D=0.5
         co = cyclide_coeffs(spec)
         assert_allclose([co.lam, co.L], [-3.0, 10.0], rtol=1e-12)
         assert_allclose([co.q0, co.qx2, co.qz2], [-3.0, -1.0, -16.0], rtol=1e-12)
 
     def test_projected_mesh_residual(self):
         for mu, c in [(-1 / 12, 5 / 3), (0.7, 1.1), (1.0, -1.0)]:
-            spec = make_quadric(MomentumCoeffs(mu, c))
-            S = make_quadric_surface(MomentumCoeffs(mu, c))
+            spec = make_quadric(locate(mu, c))
+            S = make_quadric_surface(QuadricMomentum(mu, c))
             co = cyclide_coeffs(spec)
             mesh = mesh_from_surface(S, ns=100, nt=100, project=True)
             assert len(mesh.vertices) >= 10_000
@@ -139,7 +140,7 @@ class TestCyclide:
     def test_residual_is_relative_to_its_terms(self):
         # a power-of-two factor scales every term exactly, so the residual
         # must not move by a bit
-        S = make_quadric_surface(MomentumCoeffs(0.7, 1.1))
+        S = make_quadric_surface(QuadricMomentum(0.7, 1.1))
         co = cyclide_coeffs(S.quadric)
         pts = mesh_from_surface(S, ns=16, nt=16, project=True).vertices
         res = cyclide_residual(co, pts)
@@ -154,11 +155,11 @@ class TestCyclide:
                 c = (1 + np.sqrt(-mu)) ** 2 + rng.uniform(0.01, 4)
             else:
                 mu, c = rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0)
-            spec = make_quadric(MomentumCoeffs(mu, c))
+            spec = make_quadric(locate(mu, c))
             assert cyclide_coeffs(spec).L > 0
 
     def test_prolate_lacks_horizontal_params(self):
-        spec = make_quadric(MomentumCoeffs(0.7, 1.1), prolate=True)
+        spec = make_quadric(locate(0.7, 1.1), prolate=True)
         with pytest.raises(MissingParams):
             cyclide_coeffs(spec)
 
@@ -182,7 +183,7 @@ class TestMesh:
         assert np.max(np.abs(res)) < 1e-8
 
     def test_faces_reference_existing_vertices(self):
-        S = make_quadric_surface(MomentumCoeffs(0.5, 0.5))
+        S = make_quadric_surface(QuadricMomentum(0.5, 0.5))
         mesh = mesh_from_surface(S, ns=20, nt=20, project=True)
         assert mesh.faces.min() >= 0 and mesh.faces.max() < len(mesh.vertices)
         assert np.all(np.isfinite(mesh.vertices))
@@ -223,7 +224,7 @@ class TestObj:
 
     def test_bytes_match_row_by_row_reference(self, tmp_path):
         # vertex and face counts cross the writer's chunk boundary
-        S = make_quadric_surface(MomentumCoeffs(0.5, 0.5))
+        S = make_quadric_surface(QuadricMomentum(0.5, 0.5))
         mesh = mesh_from_surface(S, ns=48, nt=48, project=True)
         assert len(mesh.vertices) > WRITE_CHUNK_ROWS and len(mesh.faces) > 2 * WRITE_CHUNK_ROWS
         path = tmp_path / "mesh.obj"
@@ -290,7 +291,7 @@ class TestObj:
         elif name == "torus":
             mesh = mesh_from_surface(make_degenerate(SurfaceFamily.STANDARD_TORUS, 0.5), 8, 8, True)
         else:
-            mesh = mesh_from_surface(make_quadric_surface(MomentumCoeffs(0.5, 0.5)), 48, 48, True)
+            mesh = mesh_from_surface(make_quadric_surface(QuadricMomentum(0.5, 0.5)), 48, 48, True)
         v, f = mesh.vertices, mesh.faces
         a, b = v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]]
         want = 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
@@ -300,7 +301,7 @@ class TestObj:
         # WRITE_CHUNK_ROWS sets the peak, the vertex records of one block:
         # 180 KiB on this 96x96 mesh at 512 rows (102 KiB at 256 rows, 333 KiB
         # at 1,024); the bound allows 25 % more
-        mesh = mesh_from_surface(make_quadric_surface(MomentumCoeffs(0.5, 0.5)), 96, 96, True)
+        mesh = mesh_from_surface(make_quadric_surface(QuadricMomentum(0.5, 0.5)), 96, 96, True)
         assert traced_peak(write_obj, mesh, tmp_path / "mesh.obj") < 225 * 1024
 
     def test_rejects_4d_vertices(self, tmp_path):

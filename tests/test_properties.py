@@ -8,8 +8,9 @@ stays deterministic.
 
 import math
 
+import mpmath
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spheriq.conics import (
@@ -18,17 +19,21 @@ from spheriq.conics import (
     CylinderConic,
     classify,
     focal_params,
-    horizontal_squares,
+    locate,
     momentum_coeffs,
     momentum_from_horizontal,
     momentum_from_vertical,
     other_cylinder,
-    region_of,
     sample_loop,
-    vertical_squares,
 )
 from spheriq.momentum import QuadricMomentum, band_latitudes
-from spheriq.surfaces import principal_curvatures_analytic
+from spheriq.surfaces import (
+    make_quadric,
+    make_quadric_surface,
+    principal_curvatures_analytic,
+    quadric_residuals,
+    surface_point,
+)
 from spheriq.weingarten import cubic_sides
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -38,7 +43,7 @@ outside = st.floats(1.05, 20.0)  # a semi-axis outside it
 ratio = st.floats(0.05, 0.95)  # shorter over longer semi-axis
 swap = st.booleans()
 # squares of the shorter axis on a parabola line; the parabola tests of
-# classify and region_of lose digits as this square falls towards 0
+# classify and locate lose digits as this square falls towards 0
 short2 = st.floats(0.01, 0.49)
 
 
@@ -147,13 +152,80 @@ class TestCubicProperty:
         assert np.all(np.abs(km - mu_kp3) <= 8.0 * np.finfo(float).eps * scale)
 
 
+def quadric_reference(mu, c) -> dict:
+    """The quadric record's squares, complements and coefficients in mpmath
+    at the working precision, from the roots of the two quadratics and the
+    definitions: C^2 = D^2 / (1 - c (1 - D^2)^2), alpha^2 = |1 - A^2| and
+    beta^2 = (A^2 - B^2) / B^2 on types I and II, alpha^2 = D^2 (1 - C^2) /
+    (D^2 - C^2) and beta^2 = D^2 / (D^2 - C^2) on type III."""
+    sq = mpmath.sqrt((mu - c + 1) ** 2 + 4 * c * mu)
+    t_lo, d2 = sorted([((c - 1) - mu + sq) / (2 * c), ((c - 1) - mu - sq) / (2 * c)])
+    c2 = d2 / (1 - c * (1 - d2) ** 2)
+    ref = dict(
+        t_lo=t_lo, d2=d2, one_minus_d2=1 - d2, c2=c2, one_minus_c2=1 - c2,
+        c2_minus_d2=c2 - d2, alpha_hat2=d2, beta_hat2=d2 / c2,
+    )
+    if c < 0:
+        return {**ref, "alpha2": d2 * (1 - c2) / (d2 - c2), "beta2": d2 / (d2 - c2)}
+    b2, a2 = sorted([(mu + c + 1 + sq) / (2 * c), (mu + c + 1 - sq) / (2 * c)])
+    return {
+        **ref, "a2": a2, "b2": b2, "a2_minus_b2": a2 - b2,
+        "alpha2": abs(1 - a2), "beta2": (a2 - b2) / b2,
+    }
+
+
+class TestQuadricRecord:
+    @PROPERTY
+    @given(quadric_moduli())
+    # two pairs whose C^2 lies within a few ulp of 1, so that 1 - C^2 and
+    # alpha^2 must come from the complements
+    @example((1e-14, 10.0))
+    @example((1.215102429015796e-13, -76.73119078971364))
+    def test_spec_within_condition_of_60_digits(self, mc):
+        # each quantity f within 8 eps (1 + kappa) relative, kappa being f's
+        # relative condition number in (mu, c), which central differences
+        # estimate at 60 digits: C^2 is truly ill-conditioned near the type-I
+        # discriminant's zero
+        mu, c = mc
+        spec = make_quadric(locate(mu, c))
+        got = {
+            **vars(spec.moduli),
+            **{k: getattr(spec, k) for k in ("alpha2", "beta2", "alpha_hat2", "beta_hat2")},
+        }
+        with mpmath.workdps(60):
+            m, k, h = mpmath.mpf(mu), mpmath.mpf(c), mpmath.mpf(10) ** -20
+            ref = quadric_reference(m, k)
+            steps = [quadric_reference(m * (1 + e * h), k) for e in (1, -1)]
+            steps += [quadric_reference(m, k * (1 + e * h)) for e in (1, -1)]
+            for key, f in ref.items():
+                kappa = (abs(steps[0][key] - steps[1][key]) + abs(steps[2][key] - steps[3][key]))
+                kappa /= 2 * h * abs(f)
+                err = abs(got[key] - f) / abs(f)
+                assert err <= 8 * np.finfo(float).eps * (1 + kappa), (key, float(err), float(kappa))
+
+    @PROPERTY
+    @given(quadric_moduli(), st.integers(0, 2**32 - 1))
+    def test_surface_points_satisfy_both_forms(self, mc, seed):
+        # each form to 16 eps of the sum of its terms' scales
+        surface = make_quadric_surface(QuadricMomentum(*mc))
+        spec = surface.quadric
+        rng = np.random.default_rng(seed)
+        lo, hi = surface.s_domain
+        q = surface_point(surface, rng.uniform(lo, hi, 50), rng.uniform(0.0, 2 * np.pi, 50))
+        res = quadric_residuals(spec, q)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(res["x2_form"])) <= 16 * eps * (1 + spec.alpha2 + spec.beta2)
+        assert np.max(np.abs(res["x1_form"])) <= 16 * eps * (1 + spec.alpha_hat2 + spec.beta_hat2)
+
+
 class TestConicProperties:
     @PROPERTY
     @given(CLASSED_CONICS)
-    def test_classify_agrees_with_region_of(self, drawn):
+    def test_classify_agrees_with_locate(self, drawn):
         cls, conic = drawn
         assert classify(conic) is cls
-        assert region_of(momentum_coeffs(conic)) is cls
+        mc = momentum_coeffs(conic)
+        assert locate(mc.mu, mc.c).region is cls
 
     @PROPERTY
     @given(convertible_conics())
@@ -186,13 +258,14 @@ class TestConicProperties:
     @given(moduli())
     def test_inverse_maps_round_trip(self, mc):
         mu, c = mc
-        routes = [(horizontal_squares, momentum_from_horizontal)]
+        m = locate(mu, c)
+        routes = [(m.c2, m.d2, momentum_from_horizontal)]
         if c > 0.0:  # the vertical route exists only for positive c
-            routes.append((vertical_squares, momentum_from_vertical))
+            routes.append((m.a2, m.b2, momentum_from_vertical))
         # normwise: where |mu| << |c| the squares carry mu's digits only
         # down to |c| eps, so mu alone comes back less accurately
         scale = max(abs(mu), abs(c))
-        for inverse, forward in routes:
-            back = forward(*inverse(mu, c))
+        for p2, q2, forward in routes:
+            back = forward(math.sqrt(p2), math.sqrt(q2))
             assert abs(back.mu - mu) <= 1e-12 * scale
             assert abs(back.c - c) <= 1e-12 * scale

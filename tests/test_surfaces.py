@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spheriq.conics import ConicKind, MomentumCoeffs
+from spheriq.conics import ConicKind, locate
 from spheriq.errors import BadParameter, OutOfRegion, ZeroLatitude
 from spheriq.momentum import (
     ConstantMomentum,
@@ -63,7 +63,7 @@ class TestSurfacePoint:
     def test_unit_norm_property(self, rng):
         surfaces = [
             make_degenerate(SurfaceFamily.UMBILICAL, 0.8),
-            make_quadric_surface(MomentumCoeffs(0.5, 0.5)),
+            make_quadric_surface(QuadricMomentum(0.5, 0.5)),
             make_fake_paraboloid(1.3),
         ]
         for S in surfaces:
@@ -108,7 +108,7 @@ class TestPrincipalCurvatures:
             assert abs(principal_curvatures_numeric(S, s).km) < 1e-6
 
     def test_quadric_numeric_matches_analytic(self):
-        S = make_quadric_surface(MomentumCoeffs(1.0, -1.0))
+        S = make_quadric_surface(QuadricMomentum(1.0, -1.0))
         s, z = off_axis_samples(S)
         num = principal_curvatures_numeric(S, s, h=1e-3)
         ana = principal_curvatures_analytic(S.momentum_profile, z)
@@ -165,8 +165,8 @@ class TestPrincipalCurvatures:
         surfaces = [
             make_degenerate(SurfaceFamily.UMBILICAL, 1.2),
             make_degenerate(SurfaceFamily.SPHERICAL_MOON, 2.0),
-            make_quadric_surface(MomentumCoeffs(-1 / 12, 5 / 3)),
-            make_quadric_surface(MomentumCoeffs(0.5, 0.5)),
+            make_quadric_surface(QuadricMomentum(-1 / 12, 5 / 3)),
+            make_quadric_surface(QuadricMomentum(0.5, 0.5)),
             make_fake_paraboloid(1.0),
         ]
         for S in surfaces:
@@ -187,7 +187,7 @@ class TestPrincipalCurvatures:
     @pytest.mark.parametrize("mc", [(-1.5, 5.0), (0.5, 0.5), (1.0, -1.0)])
     def test_numeric_at_profile_ends(self, mc):
         # centred stencils reach past the turning points of the open profile
-        S = make_quadric_surface(MomentumCoeffs(*mc))
+        S = make_quadric_surface(QuadricMomentum(*mc))
         lo, hi = S.s_domain
         s = np.array([lo, lo + 1e-4, hi - 1e-4, hi])
         z = S.profile.point(s)[:, 2]
@@ -204,13 +204,13 @@ X1, X1_X2 = ["x1_form"], ["x1_form", "x2_form"]
 
 class TestImplicitForms:
     def test_quadric_i_hat_coefficients(self):
-        spec = make_quadric(MomentumCoeffs(-1 / 12, 5 / 3))
+        spec = make_quadric(locate(-1 / 12, 5 / 3))
         assert_allclose(spec.alpha_hat2, 0.25, rtol=1e-12)
         assert_allclose(spec.beta_hat2, 0.0625, rtol=1e-12)
         assert_allclose(
             np.sqrt(spec.alpha_hat2 / spec.beta_hat2), spec.cylinder.p, rtol=1e-12
         )
-        S = make_quadric_surface(MomentumCoeffs(-1 / 12, 5 / 3))
+        S = make_quadric_surface(QuadricMomentum(-1 / 12, 5 / 3))
         X = surface_point(S, interior_samples(S, 25), 0.9)
         forms = implicit_residuals(S, X)
         assert np.max(np.abs(forms["x1_form"])) < 1e-10
@@ -238,14 +238,14 @@ class TestImplicitForms:
             pytest.param(lambda: make_degenerate(STANDARD_TORUS, 1.2), X1, id="torus-1.2"),
             pytest.param(lambda: make_degenerate(SPHERICAL_MOON, 0.7), X1_X2, id="moon-0.7"),
             pytest.param(lambda: make_degenerate(SPHERICAL_MOON, 2.2), X1_X2, id="moon-2.2"),
-            pytest.param(lambda: make_quadric_surface(MomentumCoeffs(-1.5, 5.5)), X1_X2, id="I"),
-            pytest.param(lambda: make_quadric_surface(MomentumCoeffs(0.7, 1.1)), X1_X2, id="IIa"),
+            pytest.param(lambda: make_quadric_surface(QuadricMomentum(-1.5, 5.5)), X1_X2, id="I"),
+            pytest.param(lambda: make_quadric_surface(QuadricMomentum(0.7, 1.1)), X1_X2, id="IIa"),
             pytest.param(
-                lambda: make_quadric_surface(MomentumCoeffs(0.7, 1.1), prolate=True),
+                lambda: make_quadric_surface(QuadricMomentum(0.7, 1.1), prolate=True),
                 X1_X2,
                 id="IIb",
             ),
-            pytest.param(lambda: make_quadric_surface(MomentumCoeffs(0.5, -2.0)), X1_X2, id="III"),
+            pytest.param(lambda: make_quadric_surface(QuadricMomentum(0.5, -2.0)), X1_X2, id="III"),
             pytest.param(lambda: make_fake_paraboloid(-0.8), ["x2_form"], id="fake-paraboloid"),
         ],
     )
@@ -270,59 +270,62 @@ class TestImplicitForms:
 
 class TestMakeQuadric:
     def test_parabola_i_spot(self):
-        spec = make_quadric(MomentumCoeffs(-1.5, 5.0))
+        spec = make_quadric(locate(-1.5, 5.0))
         assert spec.family is SurfaceFamily.QUADRIC_I
-        assert_allclose(spec.a2, 0.5, rtol=0, atol=1e-14)
-        assert_allclose(spec.b2, 0.4, rtol=1e-13)
+        assert_allclose(spec.moduli.a2, 0.5, rtol=0, atol=1e-14)
+        assert_allclose(spec.moduli.b2, 0.4, rtol=1e-13)
         assert_allclose(spec.alpha2, 0.5, rtol=0, atol=1e-13)  # paraboloid alpha^2
 
     def test_parabola_ii_spot(self):
-        spec = make_quadric(MomentumCoeffs(0.5, 0.5))
+        spec = make_quadric(locate(0.5, 0.5))
         assert spec.family is SurfaceFamily.QUADRIC_IIA
-        assert_allclose(spec.a2, 2 + np.sqrt(2), rtol=1e-14)
-        assert_allclose(spec.b2, 2 - np.sqrt(2), rtol=1e-14)
-        assert_allclose(spec.a2 + spec.b2, 4.0, rtol=1e-14)
-        assert_allclose(2 * spec.a2 * spec.b2, 4.0, rtol=1e-14)
+        assert_allclose(spec.moduli.a2, 2 + np.sqrt(2), rtol=1e-14)
+        assert_allclose(spec.moduli.b2, 2 - np.sqrt(2), rtol=1e-14)
+        assert_allclose(spec.moduli.a2 + spec.moduli.b2, 4.0, rtol=1e-14)
+        assert_allclose(2 * spec.moduli.a2 * spec.moduli.b2, 4.0, rtol=1e-14)
         assert_allclose(spec.beta2, 2 * spec.alpha2, rtol=1e-10)  # paraboloid shape
 
     def test_type_iii_spot(self):
-        spec = make_quadric(MomentumCoeffs(1.0, -1.0))
+        spec = make_quadric(locate(1.0, -1.0))
         assert spec.family is SurfaceFamily.QUADRIC_III
-        assert_allclose(spec.d2, (3 + np.sqrt(5)) / 2, rtol=1e-14)
-        assert_allclose(spec.c2, (5 + np.sqrt(5)) / 10, rtol=1e-13)
+        assert_allclose(spec.moduli.d2, (3 + np.sqrt(5)) / 2, rtol=1e-14)
+        assert_allclose(spec.moduli.c2, (5 + np.sqrt(5)) / 10, rtol=1e-13)
 
     def test_out_of_region(self):
         with pytest.raises(OutOfRegion):
-            make_quadric(MomentumCoeffs(-0.5, 1.2))
+            make_quadric(locate(-0.5, 1.2))
 
     @pytest.mark.parametrize("mu, c", [(-1.5, 5.0), (-0.5, 3.0), (1.0, -1.0)])
     def test_prolate_needs_type_ii(self, mu, c):
         # type I (a parabola and an interior pair) and type III have no prolate form
         with pytest.raises(OutOfRegion, match="prolate form exists only for type-II"):
-            make_quadric(MomentumCoeffs(mu, c), prolate=True)
+            make_quadric(locate(mu, c), prolate=True)
 
     def test_tiny_mu_pairs_accepted(self):
-        # C^2 rounds to within an ulp of 1 here; the squares checks still hold
-        spec = make_quadric(MomentumCoeffs(8.991968270924341e-13, -58.372297418058906))
+        # C^2 rounds to within an ulp of 1 here: to 1.0 itself on the type-II
+        # pair, where 1 - C^2 = 1.06e-18; the complements' signs keep the order
+        spec = make_quadric(locate(8.991968270924341e-13, -58.372297418058906))
+        m = spec.moduli
         assert spec.family is SurfaceFamily.QUADRIC_III
-        assert spec.c2 < 1 < spec.d2
-        spec = make_quadric(MomentumCoeffs(2.5418086327506493e-13, 490.39944567761637))
+        assert m.c2 < 1 < m.d2 and m.one_minus_c2 > 0 > m.one_minus_d2
+        spec = make_quadric(locate(2.5418086327506493e-13, 490.39944567761637))
+        m = spec.moduli
         assert spec.family is SurfaceFamily.QUADRIC_IIA
-        assert spec.d2 < spec.c2 < 1
+        assert m.d2 < m.c2 <= 1 and m.c2_minus_d2 > 0 and m.one_minus_c2 > 0
 
     def test_definition_coefficient_identities(self, rng):
         # alpha^2, beta^2 agree between the (A, B) and (C, D) expressions
         for _ in range(50):
             mu = -rng.uniform(0.05, 2.5)
             c = (1 + np.sqrt(-mu)) ** 2 + rng.uniform(0.01, 4.0)
-            spec = make_quadric(MomentumCoeffs(mu, c))
-            c2, d2 = spec.c2, spec.d2
+            spec = make_quadric(locate(mu, c))
+            c2, d2 = spec.moduli.c2, spec.moduli.d2
             assert_allclose(spec.alpha2, d2 * (c2 - 1) / (c2 - d2), rtol=1e-9)
             assert_allclose(spec.beta2, d2 / (c2 - d2), rtol=1e-9)
 
     def test_surfaces_lie_on_their_cylinders(self):
         for mu, c in [(-1 / 12, 5 / 3), (0.5, 0.5), (1.0, -1.0)]:
-            S = make_quadric_surface(MomentumCoeffs(mu, c))
+            S = make_quadric_surface(QuadricMomentum(mu, c))
             prof = S.profile.point(interior_samples(S, 40))
             cyl = S.quadric.cylinder
             if cyl.kind is ConicKind.HORIZONTAL:
@@ -334,9 +337,9 @@ class TestMakeQuadric:
 
 class TestProlateCoincidence:
     def test_iib_matches_iia_after_axis_swap(self):
-        mc = MomentumCoeffs(0.7, 1.1)
-        Sa = make_quadric_surface(mc)
-        Sb = make_quadric_surface(mc, prolate=True)
+        profile = QuadricMomentum(0.7, 1.1)
+        Sa = make_quadric_surface(profile)
+        Sb = make_quadric_surface(profile, prolate=True)
         # IIb's own implicit form holds on IIb points
         Xb = surface_point(Sb, interior_samples(Sb, 30), 1.3)
         assert np.max(np.abs(implicit_residuals(Sb, Xb)["x2_form"])) < 1e-10
@@ -447,7 +450,7 @@ class TestDomainContracts:
     def test_fundamental_forms_out_of_domain(self):
         from spheriq.errors import OutOfDomain
 
-        S = make_quadric_surface(MomentumCoeffs(1.0, -1.0))
+        S = make_quadric_surface(QuadricMomentum(1.0, -1.0))
         lo, hi = S.s_domain
         with pytest.raises(OutOfDomain):
             fundamental_forms(S, hi + 1.0)
@@ -455,7 +458,7 @@ class TestDomainContracts:
     def test_surface_point_out_of_domain(self):
         from spheriq.errors import OutOfDomain
 
-        S = make_quadric_surface(MomentumCoeffs(0.5, 0.5))
+        S = make_quadric_surface(QuadricMomentum(0.5, 0.5))
         lo, hi = S.s_domain
         with pytest.raises(OutOfDomain):
             surface_point(S, hi + 0.5, 0.0)

@@ -3,14 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spheriq import weingarten
-from spheriq.conics import (
-    MomentumCoeffs,
-    discriminant,
-    horizontal_squares,
-    momentum_from_horizontal,
-    momentum_from_vertical,
-    vertical_squares,
-)
+from spheriq.conics import locate, momentum_from_horizontal, momentum_from_vertical
 from spheriq.errors import IllConditioned, OutOfRegion, TooFewSamples, ZeroLatitude
 from spheriq.momentum import (
     ConstantMomentum,
@@ -111,7 +104,7 @@ class TestFitMu:
         assert_allclose(fit.mu, 1.0 / np.sinh(1.0) ** 2, rtol=1e-13)
 
     def test_quadric_surface_samples(self):
-        S = make_quadric_surface(MomentumCoeffs(0.5, 0.5))
+        S = make_quadric_surface(QuadricMomentum(0.5, 0.5))
         lo, hi = S.s_domain
         s = np.linspace(lo + 0.1, hi - 0.1, 12)
         z = S.profile.point(s)[:, 2]
@@ -130,28 +123,25 @@ class TestFitMu:
 
 class TestInverseMaps:
     def test_parabola_i_spot(self):
-        a2, b2 = vertical_squares(-1.5, 5.0)
-        assert a2 == 0.5  # exact: 2 mu + c = 2 forces A^2 = 1/2
-        assert_allclose(b2, 0.4, rtol=1e-14)
-        assert_allclose(
-            discriminant(MomentumCoeffs(-1.5, 5.0)), 0.25, rtol=0, atol=1e-15
-        )
-        c2, d2 = horizontal_squares(-1.5, 5.0)
-        assert_allclose(d2, 0.6, rtol=1e-14)
-        assert abs(c2 + d2 - 2 * c2 * d2) < 1e-12
+        m = locate(-1.5, 5.0)
+        assert m.a2 == 0.5  # exact: 2 mu + c = 2 forces A^2 = 1/2
+        assert_allclose(m.b2, 0.4, rtol=1e-14)
+        assert_allclose(m.disc, 0.25, rtol=0, atol=1e-15)
+        assert_allclose(m.d2, 0.6, rtol=1e-14)
+        assert abs(m.c2 + m.d2 - 2 * m.c2 * m.d2) < 1e-12
 
     def test_type_iii_spot(self):
-        c2, d2 = horizontal_squares(1.0, -1.0)
-        assert_allclose(d2, (3 + np.sqrt(5)) / 2, rtol=1e-15)
-        assert_allclose(c2, (5 + np.sqrt(5)) / 10, rtol=1e-14)
+        m = locate(1.0, -1.0)
+        assert_allclose(m.d2, (3 + np.sqrt(5)) / 2, rtol=1e-15)
+        assert_allclose(m.c2, (5 + np.sqrt(5)) / 10, rtol=1e-14)
 
     def test_roundtrip_ab_type_ii(self, rng):
         worst = 0.0
         for _ in range(1000):
             mu, c = rng.uniform(0.01, 5.0, 2)
-            a2, b2 = vertical_squares(mu, c)
-            assert 0 < b2 < 1 < a2
-            mc = momentum_from_vertical(a2, b2)
+            m = locate(mu, c)
+            assert 0 < m.b2 < 1 < m.a2
+            mc = momentum_from_vertical(np.sqrt(m.a2), np.sqrt(m.b2))
             worst = max(worst, abs(mc.mu - mu) / abs(mu), abs(mc.c - c) / abs(c))
         assert worst < 1e-12
 
@@ -160,57 +150,56 @@ class TestInverseMaps:
         for _ in range(1000):
             if rng.random() < 0.5:
                 mu, c = sample_type_i(rng)
-                c2, d2 = horizontal_squares(mu, c)
-                assert 0 < d2 < 1 < c2
+                m = locate(mu, c)
+                assert 0 < m.d2 < 1 < m.c2
             else:
                 mu = rng.uniform(0.01, 5.0)
                 c = -rng.uniform(0.01, 5.0)
-                c2, d2 = horizontal_squares(mu, c)
-                assert 0 < c2 < 1 < d2
-            mc = momentum_from_horizontal(c2, d2)
+                m = locate(mu, c)
+                assert 0 < m.c2 < 1 < m.d2
+            mc = momentum_from_horizontal(np.sqrt(m.c2), np.sqrt(m.d2))
             worst = max(worst, abs(mc.mu - mu) / abs(mu), abs(mc.c - c) / abs(c))
         assert worst < 1e-12
 
     def test_region_post_checks_type_ii_horizontal(self, rng):
         for _ in range(300):
             mu, c = rng.uniform(0.01, 5.0, 2)
-            c2, d2 = horizontal_squares(mu, c)
-            assert 0 < d2 < c2 < 1
+            m = locate(mu, c)
+            assert 0 < m.d2 < m.c2 < 1
 
     def test_parabola_specializations(self, rng):
         # 2 mu + c = 2, c > 4  =>  A^2 = 1/2 and C^2 + D^2 = 2 C^2 D^2
         for _ in range(50):
             c = rng.uniform(4.01, 12.0)
             mu = (2.0 - c) / 2.0
-            a2, _ = vertical_squares(mu, c)
-            assert abs(a2 - 0.5) < 1e-10
-            c2, d2 = horizontal_squares(mu, c)
-            assert abs(c2 + d2 - 2 * c2 * d2) < 1e-10
+            m = locate(mu, c)
+            assert abs(m.a2 - 0.5) < 1e-10
+            assert abs(m.c2 + m.d2 - 2 * m.c2 * m.d2) < 1e-10
         # mu + c = 1  =>  A^2 + B^2 = 2 A^2 B^2 and C^2 = 1/2
         for _ in range(50):
             mu = rng.uniform(0.01, 0.99)
             c = 1.0 - mu
-            a2, b2 = vertical_squares(mu, c)
-            assert abs(a2 + b2 - 2 * a2 * b2) < 1e-10
-            c2, _ = horizontal_squares(mu, c)
-            assert abs(c2 - 0.5) < 1e-10
+            m = locate(mu, c)
+            assert abs(m.a2 + m.b2 - 2 * m.a2 * m.b2) < 1e-10
+            assert abs(m.c2 - 0.5) < 1e-10
 
     def test_vertical_requires_positive_c(self):
-        with pytest.raises(OutOfRegion):
-            vertical_squares(1.0, -1.0)
+        # type III has no vertical cylinder
+        m = locate(1.0, -1.0)
+        assert m.a2 is None and m.b2 is None
 
 
 class TestSolve:
     def test_parabola_i(self):
         r = solve_cubic_weingarten(-1.5, 5.0)
         assert r.case is r.spec.family is SurfaceFamily.QUADRIC_I
-        assert r.spec.a2 == 0.5
-        assert_allclose(r.spec.d2, 0.6, rtol=1e-14)
+        assert r.spec.moduli.a2 == 0.5
+        assert_allclose(r.spec.moduli.d2, 0.6, rtol=1e-14)
 
     def test_type_iii(self):
         r = solve_cubic_weingarten(1.0, -1.0)
         assert r.spec.family is SurfaceFamily.QUADRIC_III
-        assert r.spec.d2 > 1 > r.spec.c2
+        assert r.spec.moduli.d2 > 1 > r.spec.moduli.c2
 
     def test_out_of_region(self):
         with pytest.raises(OutOfRegion):
@@ -257,20 +246,20 @@ class TestGeographicCompatibility:
         # dlambda/dphi computed from (mu, c) equals the one from (C, D)
         for _ in range(30):
             mu, c = sample_type_i(rng)
-            c2, d2 = horizontal_squares(mu, c)
+            m = locate(mu, c)
             prof = QuadricMomentum(mu, c)
             iv = [i for i in feasible_intervals(prof) if i.z_lo > 0][0]
             z = rng.uniform(iv.z_lo + 0.05 * iv.width, iv.z_hi - 0.05 * iv.width, 20)
             phi = np.arcsin(z)
             lhs = dlambda_dphi_momentum(mu, c, phi)
-            rhs = dlambda_dphi_cylinder(np.sqrt(c2), np.sqrt(d2), phi)
+            rhs = dlambda_dphi_cylinder(np.sqrt(m.c2), np.sqrt(m.d2), phi)
             assert np.max(np.abs(lhs - rhs)) < 1e-9 * np.max(np.abs(lhs))
 
 
 class TestClassifier:
     def test_quadric_roundtrip(self):
         mu, c = -1 / 12, 5 / 3
-        S = make_quadric_surface(MomentumCoeffs(mu, c))
+        S = make_quadric_surface(QuadricMomentum(mu, c))
         r = classify_rotational_surface(S)
         assert isinstance(r, CubicSolveResult)
         assert r.case is r.spec.family is SurfaceFamily.QUADRIC_I
@@ -301,7 +290,7 @@ class TestClassifier:
         # test and the probe come from one chart call; the profile binds
         # chart.point when the surface is built
         cases = [
-            (lambda: make_quadric_surface(MomentumCoeffs(-1.5, 5.0)), "QuadricI"),
+            (lambda: make_quadric_surface(QuadricMomentum(-1.5, 5.0)), "QuadricI"),
             (lambda: make_fake_paraboloid(0.5), "NotCubic"),
             (lambda: _chart_surface(ConstantMomentum(-0.5)), "SphericalMoon"),
         ]
@@ -336,7 +325,7 @@ class TestClassifier:
         assert np.array_equal(got["kp"], (4 * fine.kp - coarse.kp) / 3)
 
     def test_report_shape(self):
-        r = classify_rotational_surface(make_quadric_surface(MomentumCoeffs(1.0, -1.0)))
+        r = classify_rotational_surface(make_quadric_surface(QuadricMomentum(1.0, -1.0)))
         report = solve_report(r)
         assert report["case"] == "QuadricIII"
         assert report["C2"] is not None and report["D2"] is not None
