@@ -25,7 +25,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -349,11 +348,15 @@ class Moduli:
 
 
 def _discriminant(mu: float, c: float) -> float:
-    """(mu - c + 1)^2 + 4 c mu in rationals, rounded once: near the type-I
-    boundary its terms cancel, and rounding them would cost the roots digits."""
-    m, k = Fraction(mu), Fraction(c)
+    """(mu - c + 1)^2 + 4 c mu in integers, rounded once: near the type-I
+    boundary its terms cancel, and rounding them would cost the roots digits.
+    With mu = m / b and c = k / d, it is ((m d - k b + b d)^2 + 4 m k b d) /
+    (b d)^2, and Python's int / int true division is correctly rounded."""
+    m, b = mu.as_integer_ratio()
+    k, d = c.as_integer_ratio()
+    s, bd = m * d - k * b + b * d, b * d
     try:
-        return float((m - k + 1) ** 2 + 4 * k * m)
+        return (s * s + 4 * m * k * bd) / (bd * bd)
     except OverflowError:
         raise BadParameter(f"(mu={mu}, c={c}) is beyond double range") from None
 

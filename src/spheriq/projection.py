@@ -145,9 +145,9 @@ class Mesh:
 
 def _triangle_areas(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
     if verts.shape[1] == 3:
-        # one gather into rows per coordinate and corner; |a x b| with the
+        # one np.take into rows per coordinate and corner; |a x b| with the
         # products and sums in np.cross's and np.linalg.norm's order
-        corners = np.ascontiguousarray(verts.T)[:, faces.T]
+        corners = np.take(np.ascontiguousarray(verts.T), faces.T, axis=1)
         a0, a1, a2 = corners[:, 1] - corners[:, 0]
         b0, b1, b2 = corners[:, 2] - corners[:, 0]
         cx, cy, cz = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
@@ -270,9 +270,9 @@ def write_obj(mesh: Mesh, path) -> None:
     `sphere.float_records`, whose bytes equal "v %r %r %r\\n" per row.  Face
     records come from one `_index_table` of the vertex numbers, built once
     per call: a block of faces is 'f', the table rows of its three indices
-    and '\\n' in one uint8 matrix, whose 0 pad bytes a boolean mask drops, so
-    its bytes equal "f %d %d %d\\n" per row.  A mesh without faces writes the
-    vertex records only.
+    and '\\n' in one uint8 matrix, whose 0 pad bytes `bytes.translate`
+    deletes, so its bytes equal "f %d %d %d\\n" per row.  A mesh without
+    faces writes the vertex records only.
     """
     if mesh.vertices.size and mesh.vertices.shape[1] != 3:
         raise IOFailure("OBJ output needs 3-vector vertices; project the mesh first")
@@ -286,7 +286,7 @@ def write_obj(mesh: Mesh, path) -> None:
                 faces = mesh.faces[i : i + WRITE_CHUNK_ROWS]
                 buf = np.empty((len(faces), 3 * tab.shape[1] + 2), np.uint8)
                 buf[:, 0], buf[:, -1] = ord("f"), ord("\n")
-                buf[:, 1:-1] = tab[faces].reshape(len(faces), -1)
-                fh.write(buf[buf > 0].tobytes())
+                buf[:, 1:-1] = np.take(tab, faces, axis=0).reshape(len(faces), -1)
+                fh.write(buf.tobytes().translate(None, b"\0"))
     except OSError as exc:
         raise IOFailure(str(exc)) from exc

@@ -333,16 +333,17 @@ def small_circle_point(delta: float, s) -> np.ndarray:
 CSV_HEADER = ["s", "x", "y", "z", "kappa", "momentum"]
 
 # rows per block of the CSV and OBJ writers: each block is formatted into one
-# bytes string and written at once.  float_records pays ~70 numpy calls per
-# block, so larger blocks write faster: the 27,648 vertex floats of a 96x96
-# mesh took 14.4 ms in 256-row blocks, 8.2 in 512, 7.2 in 1,024 and 6.4 in
-# 4,096 (min of 25 calls, 2-vCPU VM).  The block also bounds the kernels'
-# scratch, ~110 bytes per float: the tracemalloc peaks of a 25,030-row CSV
-# and that mesh's OBJ are 364 and 180 KiB at 512 rows (tests pin both), 688
-# and 333 KiB at 1,024.  At equal op counts neither size moved the process
-# peak.  But 1,024-row blocks made conic_survey time 20 % more ops in its
-# 25 s, whose per-op benchmark records then read as +3.5 % peak_rss_mb
-# (medians of ten pairs); 512-row blocks read +13 % goodput and +1.1 %.
+# bytes string and written at once.  float_records costs ~100 us per block
+# plus ~170 ns per float, so larger blocks write faster: the 27,648 vertex
+# floats of a 96x96 mesh took 8.9 ms in 256-row blocks, 7.1 in 512, 5.9 in
+# 1,024 and 6.2 in 4,096 (min of 25 calls, 2-vCPU VM).  The block also bounds
+# the kernels' scratch, ~110 bytes per float: the tracemalloc peaks of a
+# 25,030-row CSV and that mesh's OBJ are 355 and 168 KiB at 512 rows (tests
+# pin both), 703 and 330 KiB at 1,024.  At equal op counts neither size
+# moved the process peak.  But 1,024-row blocks made conic_survey time 20 %
+# more ops in its 25 s, whose per-op benchmark records then read as +3.5 %
+# peak_rss_mb (medians of ten pairs); 512-row blocks read +13 % goodput and
+# +1.1 %.
 WRITE_CHUNK_ROWS = 512
 
 
@@ -375,10 +376,33 @@ _DIGITS4 = np.empty((10000, 4), np.uint8)
 for _k, _unit in enumerate((1000, 100, 10, 1)):
     _DIGITS4[:, _k] = np.arange(10000, dtype=np.uint16) // _unit % 10 + ord("0")
 _DIGITS4 = _DIGITS4.view(np.uint32).ravel()
-_ZERO_WORD = np.frombuffer(b"\0\0\0" b"0", np.uint32)[0]
-_COLUMNS = np.arange(23, dtype=np.int8)
-_FIELD = 24  # the longest repr of a double: "-2.2250738585072014e-308"
+# the trailing zeros of a 4-digit group, to which _positional adds the
+# group's place (16, 12, 8, 4 and 0 digits from the end of T); a group of
+# zeros gets 100, so that the least over T's groups passes it by
+_TRAILING_ZEROS = np.array(
+    [100] + [len(str(g)) - len(str(g).rstrip("0")) for g in range(1, 10000)], np.uint8
+)
+_PLACES = np.array([[16], [12], [8], [4], [0]], np.uint8)
+# _KEEP[:, m] keeps, in the four words of T's digits 1-16, the bytes of its
+# first m digits and clears the rest
+_KEEP = np.array(
+    [[sum(0xFF << 8 * b for b in range(4) if 1 + 4 * w + b < m) for m in range(18)]
+     for w in range(4)],
+    np.uint32,
+)
+# _LEAD[20 D0 + decpt + 3]: 8 bytes ending in T's first digit D0, after the
+# 1 - decpt zeros of "0.0..." where decpt <= 0 (the point goes in later)
+_LEAD = np.array(
+    [
+        int.from_bytes((b"0" * max(1 - dp, 0) + bytes([48 + d0])).rjust(8, b"\0"), "little")
+        for d0 in range(10)
+        for dp in range(-3, 17)
+    ],
+    np.uint64,
+)
 _MARGIN = 1e-9  # decisions this close to a boundary are left to repr
+_ROW = 40  # bytes per float of the digit buffer in _positional
+_FIELD = 24  # the longest repr of a double: "-2.2250738585072014e-308"
 
 
 def _scaled(a: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -455,40 +479,53 @@ def _shortest_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return t, 17 - j, exact
 
 
-def _positional(t: np.ndarray, decpt: np.ndarray, width: int, at: int) -> np.ndarray:
-    """A zeroed uint8 matrix of `width` columns, one row per float, holding at
-    columns at + 1 ... at + 22 the positional text of 0.T * 10**decpt.
+def _positional(t: np.ndarray, decpt: np.ndarray) -> tuple[np.ndarray, int]:
+    """(E, p): the positional text of the floats 0.T * 10**decpt, one uint8
+    row each, its integer part right-aligned in the first p columns and its
+    fraction left-aligned after them.  Pad bytes are 0.
 
-    The text is E[:p] + "." + E[p:m]: E is the digits of T after
-    max(1 - decpt, 0) zeros, p = max(decpt, 1), and m keeps T's significant
-    digits and every digit up to one past the point.
+    The fraction keeps T's significant digits after the point, at least
+    one.  Each row of E is a window of a zeroed buffer with a _ROW-byte row
+    per float, which holds at bytes 8-15 the 1 - decpt zeros before T's
+    first digit where decpt <= 0, pads where decpt > 0, and T's first digit
+    (_LEAD), and at bytes 16-31 T's other digits, the ones past the last to
+    keep masked to pads four at a time.  A window reaches at most 4 bytes
+    before its row and 11 past it, which hold pads.
     """
     nf = len(t)
-    # digit bytes: three pads, "0", T as 20 digits ("000" and its 17), pads;
-    # E[i] is byte 7 - zeros + i
-    words = np.zeros((nf, 8), np.uint32)
-    words[:, 0] = _ZERO_WORD
-    for col in range(5, 1, -1):
+    g = np.empty((5, nf), np.int64)  # T's 4-digit groups, first digit on its own
+    for row in (4, 3, 2, 1):
         q = t // 10000
-        words[:, col] = _DIGITS4[t - 10000 * q]
+        np.subtract(t, q * 10000, out=g[row])
         t = q
-    words[:, 1] = _DIGITS4[t]
-    digits = words.view(np.uint8)
-    zeros = np.maximum(1 - decpt, 0)
-    p = decpt + zeros
-    nsig = 17 - np.argmax(digits[:, 23:6:-1] != ord("0"), axis=1).astype(np.int8)
-    m = np.maximum(nsig + zeros, p + 1)
-    # e[:, u] = E[u - 1], blank past E[m - 1]
-    windows = np.ndarray((nf, 7, 23), np.uint8, words, strides=(32, 1, 1))
-    e = windows[np.arange(nf), 6 - zeros]
-    del words, digits, windows
-    e *= _COLUMNS <= m[:, None]
-    out = np.zeros((nf, width), np.uint8)
-    body = out[:, at + 1 : at + 23]
-    body[:] = e[:, :-1]
-    np.copyto(body, e[:, 1:], where=_COLUMNS[:-1] < p[:, None])
-    out.reshape(-1)[np.arange(at + 1, nf * width, width) + p] = ord(".")
-    return out
+    g[0] = t
+    zeros = _TRAILING_ZEROS.take(g)
+    zeros += _PLACES
+    keep = np.maximum(17 - zeros.min(axis=0), decpt + 1)  # digits kept
+    del zeros
+    words = _DIGITS4.take(g[1:])
+    lead = _LEAD.take(20 * g[0] + decpt + 3)
+    del g  # spent arrays go at once, as in _shortest_digits
+    words &= _KEEP.take(keep, axis=1)
+    buf = np.zeros((nf + 2, _ROW // 4), np.uint32)  # a row of pads either side
+    buf[1:-1, 4:8] = words.T
+    buf.view(np.uint64)[1:-1, 1] = lead
+    del words, lead
+    p = max(int(decpt.max()), 1)
+    w = p + int((keep - decpt).max())
+    del keep
+    # one void item per byte offset; float r's window starts p - decpt bytes
+    # before its first digit, byte 15 of buffer row r + 1
+    windows = np.ndarray(buf.nbytes - w + 1, f"V{w}", buf, 0, (1,))
+    starts = np.arange(_ROW + 15, (nf + 1) * _ROW, _ROW) - p
+    starts += decpt
+    return windows[starts].view(np.uint8).reshape(nf, w), p
+
+
+def _cells(m: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Columns lo:hi of the C-contiguous uint8 matrix m as one void item per
+    row, which numpy copies at a fraction of the cost of a 2-D slice."""
+    return np.ndarray(len(m), f"V{hi - lo}", m, lo, (m.shape[1],))
 
 
 def float_records(block: np.ndarray, head: bytes, sep, end: bytes) -> bytes:
@@ -500,8 +537,9 @@ def float_records(block: np.ndarray, head: bytes, sep, end: bytes) -> bytes:
     back as the same double, positional for 1e-4 <= |v| < 1e16.  Its digits
     come from `_shortest_digits`, and the floats that leaves undecided are
     formatted by `repr` itself.  The text is laid out in a uint8 matrix with
-    one row per float: head, sign, digits (`_positional`), separator.  Its
-    pad bytes are 0 and are dropped at the end.
+    one row per float: head, sign, integer part, "." in a fixed column,
+    fraction (`_positional`), separator.  Its pad bytes are 0 and are
+    dropped at the end.
     """
     x = np.ascontiguousarray(block, dtype=float)
     n, k = x.shape
@@ -514,20 +552,26 @@ def float_records(block: np.ndarray, head: bytes, sep, end: bytes) -> bytes:
     v = np.full(-(-n // WRITE_CHUNK_ROWS) * WRITE_CHUNK_ROWS * k, 0.1)
     v[: n * k] = x.reshape(-1)
     t, decpt, exact = _shortest_digits(v)
-    h = len(head)
-    out = _positional(t, decpt, h + _FIELD + max(map(len, [end, *seps])), h)
+    digits, p = _positional(t, decpt)
     del t, decpt
+    h, w = len(head), digits.shape[1]
+    field = max(w + 2, _FIELD)  # sign, digits and ".", or a repr
+    out = np.zeros((len(v), h + field + max(map(len, [end, *seps]))), np.uint8)
     out[:, h] = np.signbit(v) * np.uint8(ord("-"))
+    _cells(out, h + 1, h + 1 + p)[...] = _cells(digits, 0, p)
+    out[:, h + 1 + p] = ord(".")
+    _cells(out, h + 2 + p, h + 2 + w)[...] = _cells(digits, p, w)
+    del digits
     out, v, exact = out[: n * k], v[: n * k], exact[: n * k]
     rest = np.flatnonzero(~exact)
     if rest.size:
-        texts = np.array([repr(f) for f in v[rest].tolist()], dtype=f"S{_FIELD}")
-        out[rest, h : h + _FIELD] = texts.view(np.uint8).reshape(-1, _FIELD)
+        texts = np.array([repr(f) for f in v[rest].tolist()], dtype=f"S{field}")
+        out[rest, h : h + field] = texts.view(np.uint8).reshape(-1, field)
     rows = out.reshape(n, k, -1)
     rows[:, 0, :h] = np.frombuffer(head, np.uint8)
     for c, s in enumerate(seps):
-        rows[:, c, h + _FIELD : h + _FIELD + len(s)] = np.frombuffer(s, np.uint8)
-    rows[:, -1, h + _FIELD : h + _FIELD + len(end)] = np.frombuffer(end, np.uint8)
+        rows[:, c, h + field : h + field + len(s)] = np.frombuffer(s, np.uint8)
+    rows[:, -1, h + field : h + field + len(end)] = np.frombuffer(end, np.uint8)
     return out[out > 0].tobytes()
 
 

@@ -70,10 +70,14 @@ def csv_reference(curve: SampledCurve) -> bytes:
     return buf.getvalue().encode()
 
 
-def records_reference(block, head: bytes, sep: bytes, end: bytes) -> bytes:
-    """The bytes float_records must produce, formatted one float at a time."""
+def records_reference(block, head: bytes, sep, end: bytes) -> bytes:
+    """The bytes float_records must produce, formatted one float at a time;
+    sep is one separator or a sequence, one per gap."""
+    block = np.asarray(block)
+    gaps = [b""] + ([sep] * (block.shape[1] - 1) if isinstance(sep, bytes) else list(sep))
     return b"".join(
-        head + sep.join(repr(v).encode() for v in row) + end for row in np.asarray(block).tolist()
+        head + b"".join(s + repr(v).encode() for s, v in zip(gaps, row)) + end
+        for row in block.tolist()
     )
 
 

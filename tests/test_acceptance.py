@@ -5,17 +5,14 @@ to see the per-criterion lines.
 """
 
 import numpy as np
-import pytest
 
 from spheriq.conics import (
     CylinderConic,
     canonical_form,
     canonical_residual,
-    classify,
     focal_params,
     locate,
     locus_residual,
-    momentum_coeffs,
     momentum_from_horizontal,
     momentum_from_vertical,
     sample_loop,
@@ -44,7 +41,6 @@ from spheriq.surfaces import (
     make_quadric_surface,
     principal_curvatures_analytic,
     principal_curvatures_numeric,
-    surface_point,
 )
 from spheriq.weingarten import (
     CubicSolveResult,

@@ -681,6 +681,39 @@ class TestImports:
         unused = sorted(f"{mod}.{name}" for mod, name in public if name not in used)
         assert not unused, f"public names only the tests use: {unused}"
 
+    def test_every_import_is_used(self):
+        # an imported name counts as used where its file loads it or lists it
+        # in __all__; `from __future__` imports bind no name
+        root = Path(__file__).resolve().parents[1]
+        paths = [*sorted(Path(spheriq.__file__).parent.glob("*.py")),
+                 *sorted(Path(__file__).parent.glob("*.py")), *DEMOS]
+        unused = []
+        for path in paths:
+            tree = ast.parse(path.read_text())
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [a.asname or a.name.partition(".")[0] for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    names = [a.asname or a.name for a in node.names]
+                else:
+                    continue
+                imported.update((name, node) for name in names)
+            used = {
+                node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and "__all__" in [
+                    t.id for t in node.targets if isinstance(t, ast.Name)
+                ]:
+                    used.update(ast.literal_eval(node.value))
+            unused += [
+                f"{path.relative_to(root)}:{node.lineno}: {name}"
+                for name, node in imported.items() if name not in used
+            ]
+        assert not unused, f"imported names never used: {unused}"
+
 
 class TestDemos:
     @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)

@@ -299,8 +299,8 @@ class TestObj:
 
     def test_scratch_memory(self, tmp_path):
         # WRITE_CHUNK_ROWS sets the peak, the vertex records of one block:
-        # 180 KiB on this 96x96 mesh at 512 rows (102 KiB at 256 rows, 333 KiB
-        # at 1,024); the bound allows 25 % more
+        # 168 KiB on this 96x96 mesh at 512 rows (88 KiB at 256 rows, 330 KiB
+        # at 1,024); the bound allows 25 % more than the 180 KiB it was set on
         mesh = mesh_from_surface(make_quadric_surface(QuadricMomentum(0.5, 0.5)), 96, 96, True)
         assert traced_peak(write_obj, mesh, tmp_path / "mesh.obj") < 225 * 1024
 

@@ -1,5 +1,6 @@
 """Properties of the conic layer and of the cubic relation over whole
-regions of the moduli plane.
+regions of the moduli plane, of the exact discriminant, and of the float
+records the CSV and OBJ writers are made of.
 
 Each strategy draws its class directly, with no filter, so no example is
 rejected.  Runs are derandomized and keep no example database, so the suite
@@ -7,9 +8,11 @@ stays deterministic.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +20,7 @@ from spheriq.conics import (
     ConicClass,
     ConicKind,
     CylinderConic,
+    _discriminant,
     classify,
     focal_params,
     locate,
@@ -26,7 +30,9 @@ from spheriq.conics import (
     other_cylinder,
     sample_loop,
 )
+from spheriq.errors import BadParameter
 from spheriq.momentum import QuadricMomentum, band_latitudes
+from spheriq.sphere import WRITE_CHUNK_ROWS, float_records
 from spheriq.surfaces import (
     make_quadric,
     make_quadric_surface,
@@ -35,6 +41,8 @@ from spheriq.surfaces import (
     surface_point,
 )
 from spheriq.weingarten import cubic_sides
+
+from helpers import records_reference
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -269,3 +277,50 @@ class TestConicProperties:
             back = forward(math.sqrt(p2), math.sqrt(q2))
             assert abs(back.mu - mu) <= 1e-12 * scale
             assert abs(back.c - c) <= 1e-12 * scale
+
+
+class TestDiscriminantProperty:
+    @PROPERTY
+    @given(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0), swap, swap)
+    def test_bit_identical_to_fractions(self, e_mu, e_c, neg_mu, neg_c):
+        # the integer form against the rational one, overflow included
+        mu = (-1.0 if neg_mu else 1.0) * 10.0**e_mu
+        c = (-1.0 if neg_c else 1.0) * 10.0**e_c
+        m, k = Fraction(mu), Fraction(c)
+        try:
+            want = float((m - k + 1) ** 2 + 4 * k * m)
+        except OverflowError:
+            with pytest.raises(BadParameter):
+                _discriminant(mu, c)
+            return
+        assert _discriminant(mu, c).hex() == want.hex()
+
+
+ascii_bytes = st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=3).map(str.encode)
+EXPONENT = np.uint64(0x7FF << 52)  # the exponent field of a double
+
+
+@st.composite
+def float_blocks(draw):
+    """(n x k) doubles from 64-bit patterns: n ends just before, on or past
+    a WRITE_CHUNK_ROWS block edge, or is small; most patterns get an
+    exponent of 1e-4 <= |v| < 1e16, which the kernel decides, the rest keep
+    theirs (zeros, subnormals, infinities, NaNs and everything repr formats)."""
+    n = draw(st.integers(1, 3) | st.integers(WRITE_CHUNK_ROWS - 2, WRITE_CHUNK_ROWS + 2))
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.integers(0, 2**64, (n, k), dtype=np.uint64)
+    exponent = rng.integers(1023 - 14, 1023 + 54, (n, k), dtype=np.uint64) << np.uint64(52)
+    kernel = rng.random((n, k)) < draw(st.sampled_from([0.0, 0.9, 1.0]))
+    bits[kernel] = bits[kernel] & ~EXPONENT | exponent[kernel]
+    return bits.view(float)
+
+
+class TestFloatRecordsProperty:
+    @PROPERTY
+    @given(float_blocks(), ascii_bytes, st.data(), ascii_bytes)
+    def test_matches_repr_reference(self, block, head, data, end):
+        # one separator for every gap, or one of its own per gap
+        gaps = block.shape[1] - 1
+        sep = data.draw(ascii_bytes | st.lists(ascii_bytes, min_size=gaps, max_size=gaps))
+        assert float_records(block, head, sep, end) == records_reference(block, head, sep, end)

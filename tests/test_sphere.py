@@ -254,9 +254,10 @@ class TestCsv:
         assert path.read_bytes() == csv_reference(curve)
 
     def test_scratch_memory(self, tmp_path):
-        # WRITE_CHUNK_ROWS sets the peak, one block of six-column rows: 364 KiB
+        # WRITE_CHUNK_ROWS sets the peak, one block of six-column rows: 355 KiB
         # at 512 rows on 25,030 rows, about the benchmark's largest curve
-        # (203 KiB at 256 rows, 688 KiB at 1,024); the bound allows 25 % more
+        # (192 KiB at 256 rows, 703 KiB at 1,024); the bound allows 25 % more
+        # than the 364 KiB it was set on
         c = invariants_from_samples(small_circle_curve(0.7, step=2e-4))
         assert len(c) == 25_030
         assert traced_peak(write_curve_csv, c, tmp_path / "curve.csv") < 455 * 1024

@@ -9,7 +9,6 @@ from spheriq.momentum import (
     LinearMomentum,
     QuadricMomentum,
     SpheroCylindricalMomentum,
-    feasible_intervals,
 )
 from spheriq.sphere import SampledCurve, invariants_from_samples
 from spheriq.surfaces import (
