@@ -12,7 +12,6 @@ import numpy as np
 from spheriq.momentum import QuadricMomentum
 from spheriq.surfaces import (
     SurfaceFamily,
-    fundamental_forms,
     implicit_residuals,
     make_degenerate,
     make_fake_paraboloid,
@@ -35,8 +34,8 @@ pc = principal_curvatures_numeric(moon, 1.0)
 print(f"spherical moon: km = {pc.km:+.2e} (flat along meridians)")
 
 umb = make_degenerate(SurfaceFamily.UMBILICAL, 1.0)
-f = fundamental_forms(umb, 0.7)
-print(f"umbilical sphere delta=1: L/E = {f.L:+.6f}, N/G = {f.N / f.G:+.6f} "
+pc = principal_curvatures_numeric(umb, 0.7)
+print(f"umbilical sphere delta=1: km = {pc.km:+.6f}, kp = {pc.kp:+.6f} "
       f"(both -sinh 1 = {-np.sinh(1.0):+.6f})")
 
 # ---------------------------------------------------------------------------

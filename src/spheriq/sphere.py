@@ -4,15 +4,16 @@ Curves are handled as discrete samples parameterized by arc length.  The
 geodesic curvature of a unit-speed curve u(s) is det(u, u', u'') and the
 angular momentum about the z-axis is x'y - xy' (`frame_invariants`);
 `invariants_from_samples` fills both from one finite-difference pass over
-uniformly spaced samples (3-point first derivatives, 5-point second
-derivatives, one-sided second-order stencils at the ends).  A `SampledCurve`
-checks that its samples are spaced by arc length: each chord speed must
-reach 1 - 10 h^2, less half the square of the larger turning angle at its
-two ends, so that samples slerped across the corners of a point chain, or
-along a strongly curved curve, pass while mis-spaced ones do not.  The
-geographic map `cartesian_to_geo` broadcasts over point arrays.
-`float_records` writes blocks of floats byte for byte as `repr` does, for
-the CSV writer here and the OBJ writer in `projection`.
+uniformly spaced samples.  The 5-point weights `D1_WEIGHTS`, `D2_WEIGHTS`
+and their Richardson step `richardson` serve these curves, the surface
+curvatures and the classifier alike.  A `SampledCurve` checks that its
+samples are spaced by arc length: each chord speed must reach 1 - 10 h^2,
+less half the square of the larger turning angle at its two ends, so that
+samples slerped across the corners of a point chain, or along a strongly
+curved curve, pass while mis-spaced ones do not.  The geographic map
+`cartesian_to_geo` broadcasts over point arrays.  `float_records` writes
+blocks of floats byte for byte as `repr` does, for the CSV writer here and
+the OBJ writer in `projection`.
 """
 
 from __future__ import annotations
@@ -195,12 +196,26 @@ def _turning_angles(points: np.ndarray) -> np.ndarray:
     return tau
 
 
+# the 5-point central weights of the first and second derivative, in units of
+# 1/h and 1/h^2, on the nodes s + (-2..2) h; both are O(h^4) (Fornberg,
+# "Generation of finite difference formulas on arbitrarily spaced grids",
+# Math. Comp. 51, 1988)
+D1_WEIGHTS = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+D2_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+
+
+def richardson(fine, coarse):
+    """(16 fine - coarse) / 15: an O(h^4) stencil extrapolated from steps h and 2h."""
+    return (16.0 * fine - coarse) / 15.0
+
+
 def curve_derivatives(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second derivatives of sampled columns y(s).
 
-    Interior rows use a 3-point central first derivative and a 5-point
-    central second derivative; the outermost rows fall back to one-sided
-    second-order stencils.  The spacing of s must be uniform.
+    Rows 2 .. n - 3 take both from D1_WEIGHTS and D2_WEIGHTS, one shifted
+    slice of y per weight; rows 1 and n - 2 take 3-point central stencils
+    and rows 0 and n - 1 one-sided second-order ones.  The spacing of s must
+    be uniform.
     """
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -210,15 +225,20 @@ def curve_derivatives(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
     ds = np.diff(s)
     if np.max(np.abs(ds - ds.mean())) > 1e-9 * abs(ds.mean()):
         raise DegenerateInput("derivative stencils need uniformly spaced s")
-    d1 = np.empty_like(y)
-    d2 = np.empty_like(y)
+    d1 = np.zeros_like(y)
+    d2 = np.zeros_like(y)
     h = (s[-1] - s[0]) / (n - 1)
-    d1[1:-1] = (y[2:] - y[:-2]) / (2 * h)
-    d1[0] = (-3 * y[0] + 4 * y[1] - y[2]) / (2 * h)
-    d1[-1] = (3 * y[-1] - 4 * y[-2] + y[-3]) / (2 * h)
-    d2[2:-2] = (-y[:-4] + 16 * y[1:-3] - 30 * y[2:-2] + 16 * y[3:-1] - y[4:]) / (12 * h * h)
+    for d, weights, scale in ((d1, D1_WEIGHTS, h), (d2, D2_WEIGHTS, h * h)):
+        inner = d[2:-2]
+        for k, w in enumerate(weights):
+            inner += w * y[k : n - 4 + k]
+        inner /= scale
+    d1[1] = (y[2] - y[0]) / (2 * h)
+    d1[-2] = (y[-1] - y[-3]) / (2 * h)
     d2[1] = (y[0] - 2 * y[1] + y[2]) / (h * h)
     d2[-2] = (y[-3] - 2 * y[-2] + y[-1]) / (h * h)
+    d1[0] = (-3 * y[0] + 4 * y[1] - y[2]) / (2 * h)
+    d1[-1] = (3 * y[-1] - 4 * y[-2] + y[-3]) / (2 * h)
     d2[0] = (2 * y[0] - 5 * y[1] + 4 * y[2] - y[3]) / (h * h)
     d2[-1] = (2 * y[-1] - 5 * y[-2] + 4 * y[-3] - y[-4]) / (h * h)
     return d1, d2

@@ -45,7 +45,9 @@ from .momentum import (
     SpheroCylindricalMomentum,
     feasible_intervals,
 )
-from .sphere import frame_invariants, great_circle_point, parallel_point, small_circle_point
+from .sphere import (
+    D1_WEIGHTS, D2_WEIGHTS, frame_invariants, great_circle_point, parallel_point, small_circle_point
+)
 
 
 class SurfaceFamily(enum.Enum):
@@ -126,19 +128,22 @@ def revolve(pts, t) -> np.ndarray:
     return np.stack(np.broadcast_arrays(x, y, z * np.cos(t), z * np.sin(t)), axis=-1)
 
 
+def _check_domain(surface: RotationalSurface, s: np.ndarray) -> None:
+    """Raise OutOfDomain where s leaves an open profile's domain."""
+    lo, hi = surface.s_domain
+    if not surface.profile.closed and (np.any(s < lo - 1e-9) or np.any(s > hi + 1e-9)):
+        raise OutOfDomain(f"s outside profile domain [{lo}, {hi}]")
+
+
 def surface_point(surface: RotationalSurface, s, t) -> np.ndarray:
     """X(s, t) = (x(s), y(s), z(s) cos t, z(s) sin t), broadcast over s, t."""
     s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    lo, hi = surface.s_domain
-    if not surface.profile.closed:
-        if np.any(s < lo - 1e-9) or np.any(s > hi + 1e-9):
-            raise OutOfDomain(f"s outside profile domain [{lo}, {hi}]")
-    return revolve(surface.profile.point(s), t)
+    _check_domain(surface, s)
+    return revolve(surface.profile.point(s), np.asarray(t, dtype=float))
 
 
 # ---------------------------------------------------------------------------
-# fundamental forms and principal curvatures
+# principal curvatures
 # ---------------------------------------------------------------------------
 
 
@@ -148,62 +153,35 @@ class PrincipalCurvatures:
     kp: float | np.ndarray  # along parallels (s constant)
 
 
-@dataclass(frozen=True)
-class FundamentalForms:
-    """Coefficients at each stencil centre; an arc-length profile has E = 1, F = M = 0."""
+def curvatures_from_nodes(pts: np.ndarray, h) -> PrincipalCurvatures:
+    """km = kappa and kp = momentum / z at the centres of 5-point stencils.
 
-    G: np.ndarray
-    L: np.ndarray
-    N: np.ndarray
-
-    def principal_curvatures(self, s) -> PrincipalCurvatures:
-        """km = L, kp = N/G; raises ZeroLatitude, naming the stencil centres s,
-        where the latitude vanishes."""
-        if np.any(np.abs(self.G) < 1e-12):
-            raise ZeroLatitude(f"profile latitude vanishes at s={s}")
-        return PrincipalCurvatures(km=self.L, kp=self.N / self.G)
-
-
-# uniform 5-point central weights of the first and second derivative,
-# in units of 1/h and 1/h^2, on the nodes s + (-2, -1, 0, 1, 2) h
-_D1_WEIGHTS = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_D2_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-
-
-def forms_from_nodes(pts: np.ndarray, h) -> FundamentalForms:
-    """Coefficients (G, L, N) from profile points at the stencil nodes s + (-2..2) h.
-
-    pts holds the five nodes of each stencil on axis -2, shape (..., 5, 3).
-    h is a float, or an array that broadcasts against the leading axes of
-    pts with a trailing axis of 1, so that one call serves stencils of
-    several step sizes.
+    pts holds each stencil's profile points s + (-2..2) h on axis -2, shape
+    (..., 5, 3).  h is a float, or an array that broadcasts against the
+    leading axes of pts with a trailing axis of 1, so that one call serves
+    stencils of several step sizes.  Raises ZeroLatitude where a centre's
+    latitude vanishes (z^2 < 1e-12).
     """
     p = pts[..., 2, :]
-    kappa, mom = frame_invariants(p, _D1_WEIGHTS @ pts / h, _D2_WEIGHTS @ pts / (h * h))
+    kappa, mom = frame_invariants(p, D1_WEIGHTS @ pts / h, D2_WEIGHTS @ pts / (h * h))
     z = p[..., 2]
-    return FundamentalForms(G=z * z, L=kappa, N=z * mom)
-
-
-def fundamental_forms(surface: RotationalSurface, s, h: float = 1e-3) -> FundamentalForms:
-    """Coefficients (G, L, N) at profile parameters s, broadcast over s.
-
-    One profile call evaluates every stencil node s + (-2..2) h.  The
-    stencils are centred at s, so near the ends of an open profile they
-    reach past its domain, where the chart continues the curve smoothly
-    through the turning point.
-    """
-    s = np.asarray(s, dtype=float)
-    lo, hi = surface.s_domain
-    if not surface.profile.closed and (np.any(s < lo - 1e-9) or np.any(s > hi + 1e-9)):
-        raise OutOfDomain(f"s={s} outside profile domain [{lo}, {hi}]")
-    return forms_from_nodes(surface.profile.point(s[..., None] + np.arange(-2, 3) * h), h)
+    if np.any(z * z < 1e-12):
+        raise ZeroLatitude(f"latitude |z| = {np.min(np.abs(z)):.3g} at a stencil centre")
+    return PrincipalCurvatures(km=kappa, kp=mom / z)
 
 
 def principal_curvatures_numeric(
     surface: RotationalSurface, s, h: float = 1e-3
 ) -> PrincipalCurvatures:
-    """km = L, kp = N/G from finite-difference fundamental forms, broadcast over s."""
-    return fundamental_forms(surface, s, h).principal_curvatures(s)
+    """km and kp from 5-point stencils centred at s, broadcast over s.
+
+    One profile call evaluates every stencil node s + (-2..2) h.  Near the
+    ends of an open profile the stencils reach past its domain, where the
+    chart continues the curve smoothly through the turning point.
+    """
+    s = np.asarray(s, dtype=float)
+    _check_domain(surface, s)
+    return curvatures_from_nodes(surface.profile.point(s[..., None] + np.arange(-2, 3) * h), h)
 
 
 def principal_curvatures_analytic(profile: MomentumProfile, z) -> PrincipalCurvatures:

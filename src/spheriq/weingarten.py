@@ -26,11 +26,12 @@ from .momentum import (
     SpheroCylindricalMomentum,
     feasible_intervals,
 )
+from .sphere import richardson
 from .surfaces import (
     PrincipalCurvatures,
     QuadricSpec,
     SurfaceFamily,
-    forms_from_nodes,
+    curvatures_from_nodes,
     make_quadric,
     principal_curvatures_analytic,
     quadric_residuals,
@@ -170,8 +171,8 @@ def solve_cubic_weingarten(mu: float, c: float) -> CubicSolveResult:
 
 CUBIC_FIT_TOL = 1e-6
 
-# the Richardson levels h and h/2 of the 5-point curvature stencil, one row
-# each, and the ten node offsets of each sample's stencils, coarse level first
+# the steps 2h and h of the 5-point curvature stencil for `sphere.richardson`,
+# one row each, and the ten node offsets of each sample's stencils, coarse first
 _RICHARDSON_H = np.array([[2e-3], [1e-3]])
 _NODE_OFFSETS = (_RICHARDSON_H * np.arange(-2, 3)).ravel()
 
@@ -198,12 +199,11 @@ def classify_rotational_surface(surface) -> CubicSolveResult | NotCubic:
         mu = -np.tan(phi0) ** 4
         return CubicSolveResult(case=SurfaceFamily.STANDARD_TORUS, mu=mu, phi0=phi0)
     keep = np.abs(z_all) > 0.05
-    s_use, z = s_all[keep], z_all[keep]
-    if len(s_use) < 8:
+    z = z_all[keep]
+    if len(z) < 8:
         raise TooFewSamples("fewer than 8 usable curvature samples")
-    forms = forms_from_nodes(pts[keep].reshape(-1, 2, 5, 3), _RICHARDSON_H)
-    levels = forms.principal_curvatures(s_use)
-    km, kp = ((4 * k[:, 1] - k[:, 0]) / 3 for k in (levels.km, levels.kp))
+    levels = curvatures_from_nodes(pts[keep].reshape(-1, 2, 5, 3), _RICHARDSON_H)
+    km, kp = (richardson(k[:, 1], k[:, 0]) for k in (levels.km, levels.kp))
     curv = PrincipalCurvatures(km=km, kp=kp)
     if np.max(np.abs(km)) < CUBIC_FIT_TOL and np.max(np.abs(kp)) < CUBIC_FIT_TOL:
         return CubicSolveResult(case=SurfaceFamily.EQUATORIAL, mu=None)

@@ -251,6 +251,25 @@ class TestClassifyCommand:
         assert rep["case"] == "QuadricIII"
         assert abs(rep["mu"] - 1.0) < 1e-6
 
+    @pytest.mark.parametrize(
+        "mu, c",
+        [
+            ("0.03", "-2.0"),
+            ("0.32842227576202493", "-17.580893201655808"),
+            ("0.015265371859556415", "-1.0243248076210472"),
+            ("0.006269250690091718", "-0.3257822175953269"),
+        ],
+    )
+    def test_type_iii_pairs_once_not_cubic(self, capsys, mu, c):
+        # type-III pairs with steep km, whose cubic fit needs the O(h^4)
+        # Richardson step: the probe's classifier_fit input and three
+        # pairs of the moderate coverage grid
+        code, rep = run_json(capsys, ["classify", "--quadric", mu, c])
+        assert code == 0
+        assert rep["case"] == "QuadricIII"
+        assert abs(rep["mu"] - float(mu)) <= 1e-6 * abs(float(mu))
+        assert abs(rep["c"] - float(c)) <= 1e-6 * abs(float(c))
+
     def test_fake_paraboloid(self, capsys):
         code, rep = run_json(capsys, ["classify", "--fake-paraboloid", "1"])
         assert code == 0

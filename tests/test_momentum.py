@@ -28,7 +28,7 @@ from spheriq import sphere
 from spheriq.sphere import SampledCurve, geodesic_distance, invariants_from_samples
 from spheriq.surfaces import make_quadric_surface
 
-from helpers import align_z_rotation, count_calls, quad_arc_length, rotate_z
+from helpers import align_z_rotation, count_calls, quad_arc_length, rotate_z, traced_peak
 
 
 class TestProfiles:
@@ -378,6 +378,34 @@ class TestValidateReconstruction:
                 rep.z < iv.z_hi - 0.05 * width
             )
             assert np.max(rep.curvature_dev[interior]) < 5e-5
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            QuadricMomentum(0.5, 0.5),
+            QuadricMomentum(-1.5, 5.0),
+            QuadricMomentum(2.0, -3.0),
+            SpheroCylindricalMomentum(1.0),
+            LinearMomentum(0.7),
+            ConstantMomentum(-0.5),
+        ],
+        ids=repr,
+    )
+    def test_five_point_deviation_at_the_default_step(self, p):
+        # the 5-point first derivative leaves the momentum at <= 2.9e-11 and
+        # the curvature at the second difference's rounding, ~1e-9 (eps / h^2)
+        for iv in feasible_intervals(p):
+            rep = validate_reconstruction(reconstruct(p, iv, step=1e-3, branches=2), p)
+            assert rep.momentum_dev_max <= 5e-11
+            assert rep.curvature_dev_max <= 5e-9
+
+    def test_scratch_memory(self):
+        # 1.74 MiB on the two branches of (2, -3) at step 2.5e-4 (14,235
+        # samples); the bound allows ~9 % more
+        p = QuadricMomentum(2.0, -3.0)
+        curve = reconstruct(p, feasible_intervals(p)[0], step=2.5e-4, branches=2)
+        assert len(curve) == 14_235
+        assert traced_peak(validate_reconstruction, curve, p) <= 1.9 * 2**20
 
     def test_one_derivative_pass_and_one_check_per_curve(self, monkeypatch):
         # the invariants reuse the samples checked when the curve was built

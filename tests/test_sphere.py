@@ -17,6 +17,7 @@ from spheriq.sphere import (
     invariants_from_samples,
     parallel_point,
     resample_by_arclength,
+    richardson,
     small_circle_point,
     write_curve_csv,
 )
@@ -105,13 +106,27 @@ class TestCurvature:
         c = invariants_from_samples(small_circle_curve(1.0, step=1e-3))
         assert_allclose(c.kappa, -np.sinh(1.0), rtol=0, atol=1e-5)
 
-    def test_second_order_convergence(self):
-        # interior error should drop by about the square of the step ratio
+    def test_fourth_order_convergence(self):
+        # at steps where truncation dominates, the interior error drops by
+        # about the fourth power of the step ratio (15.98 and 15.99 here)
         errs = []
-        for step in (4e-3, 2e-3):
+        for step in (8e-2, 4e-2, 2e-2):
             c = invariants_from_samples(small_circle_curve(1.0, step=step))
             errs.append(np.max(np.abs(c.kappa[5:-5] + np.sinh(1.0))))
-        assert errs[0] / errs[1] > 2.5
+        assert errs[0] / errs[1] > 14 and errs[1] / errs[2] > 14
+
+    def test_richardson_cancels_the_fourth_order_term(self):
+        # levels h and 2h share the even samples; the extrapolated curvature
+        # there is ~1e-3 of the fine level's error, and an O(h^2) step
+        # (4 fine - coarse) / 3 would make it 4 times larger instead
+        fine = invariants_from_samples(small_circle_curve(1.0, step=4e-2))
+        coarse = invariants_from_samples(
+            SampledCurve(s=fine.s[::2], points=fine.points[::2])
+        )
+        k_fine = fine.kappa[::2][2:-2]
+        k_extra = richardson(k_fine, coarse.kappa[2:-2])
+        err_fine = np.max(np.abs(k_fine + np.sinh(1.0)))
+        assert np.max(np.abs(k_extra + np.sinh(1.0))) <= err_fine / 8
 
     def test_too_few_samples(self):
         pts = great_circle_curve(np.pi / 3, step=1e-2).points[:4]

@@ -13,7 +13,6 @@ from spheriq.momentum import (
 from spheriq.sphere import SampledCurve, invariants_from_samples
 from spheriq.surfaces import (
     SurfaceFamily,
-    fundamental_forms,
     implicit_residuals,
     make_degenerate,
     make_fake_paraboloid,
@@ -74,24 +73,25 @@ class TestSurfacePoint:
 
 
 class TestFundamentalForms:
+    # km = L / E and kp = N / G from the profile's 5-point stencils
     def test_standard_torus(self):
         phi0 = 0.6
         S = make_degenerate(SurfaceFamily.STANDARD_TORUS, phi0)
-        f = fundamental_forms(S, 0.4)
-        assert abs(f.G - np.sin(phi0) ** 2) < 1e-12
-        assert abs(f.L - np.tan(phi0)) < 1e-9
+        pc = principal_curvatures_numeric(S, 0.4)
+        assert abs(pc.kp + 1.0 / np.tan(phi0)) < 1e-12
+        assert abs(pc.km - np.tan(phi0)) < 1e-9
 
     def test_equatorial_sphere_flat_forms(self):
         S = make_degenerate(SurfaceFamily.EQUATORIAL)
-        f = fundamental_forms(S, 0.9)
-        assert abs(f.L) < 1e-9 and abs(f.N) < 1e-9
+        pc = principal_curvatures_numeric(S, 0.9)
+        assert abs(pc.km) < 1e-9 and abs(pc.kp) < 1e-9
 
     def test_umbilical_sphere(self):
         S = make_degenerate(SurfaceFamily.UMBILICAL, 1.0)
         for s in (0.3, 1.1, 2.0):
-            f = fundamental_forms(S, s)
-            assert abs(f.L + np.sinh(1.0)) < 1e-8
-            assert abs(f.N / f.G + np.sinh(1.0)) < 1e-8
+            pc = principal_curvatures_numeric(S, s)
+            assert abs(pc.km + np.sinh(1.0)) < 1e-8
+            assert abs(pc.kp + np.sinh(1.0)) < 1e-8
 
 
 class TestPrincipalCurvatures:
@@ -452,7 +452,7 @@ class TestDomainContracts:
         S = make_quadric_surface(QuadricMomentum(1.0, -1.0))
         lo, hi = S.s_domain
         with pytest.raises(OutOfDomain):
-            fundamental_forms(S, hi + 1.0)
+            principal_curvatures_numeric(S, hi + 1.0)
 
     def test_surface_point_out_of_domain(self):
         from spheriq.errors import OutOfDomain

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spheriq import weingarten
+from spheriq import sphere, weingarten
 from spheriq.conics import locate, momentum_from_horizontal, momentum_from_vertical
 from spheriq.errors import IllConditioned, OutOfRegion, TooFewSamples, ZeroLatitude
 from spheriq.momentum import (
@@ -14,7 +14,6 @@ from spheriq.momentum import (
     feasible_intervals,
 )
 from spheriq.surfaces import (
-    FundamentalForms,
     PrincipalCurvatures,
     RotationalSurface,
     SurfaceFamily,
@@ -315,14 +314,31 @@ class TestClassifier:
         # a closed-form profile evaluates point by point, so the one-call
         # node block reproduces each level's numeric stencils bit for bit
         S = make_degenerate(kind, param)
-        stencils = count_calls(monkeypatch, FundamentalForms, "principal_curvatures")
+        stencils = count_calls(monkeypatch, weingarten, "curvatures_from_nodes")
         records = count_calls(monkeypatch, weingarten, "PrincipalCurvatures")
         classify_rotational_surface(S)
-        s_use = stencils[0].args[1]
+        assert len(stencils) == 1
+        # the classifier's 24 samples, less those at |z| <= 0.05
+        lo, hi = S.s_domain
+        s_all = np.linspace(lo + 0.03 * (hi - lo), hi - 0.03 * (hi - lo), 24)
+        s_use = s_all[np.abs(S.profile.point(s_all)[:, 2]) > 0.05]
+        assert stencils[0].args[0].shape == (len(s_use), 2, 5, 3)
         coarse, fine = (principal_curvatures_numeric(S, s_use, h) for h in (2e-3, 1e-3))
         got = records[0].kwargs
-        assert np.array_equal(got["km"], (4 * fine.km - coarse.km) / 3)
-        assert np.array_equal(got["kp"], (4 * fine.kp - coarse.kp) / 3)
+        assert np.array_equal(got["km"], sphere.richardson(fine.km, coarse.km))
+        assert np.array_equal(got["kp"], sphere.richardson(fine.kp, coarse.kp))
+
+    @pytest.mark.parametrize("mc", [(0.05, -1.0), (0.01, -0.5)])
+    def test_extrapolated_km_matches_k_prime(self, monkeypatch, mc):
+        # the O(h^4) Richardson step leaves km 2e-10 and 1e-9 off K'(z) at
+        # the stencil centres
+        S = make_quadric_surface(QuadricMomentum(*mc))
+        stencils = count_calls(monkeypatch, weingarten, "curvatures_from_nodes")
+        records = count_calls(monkeypatch, weingarten, "PrincipalCurvatures")
+        classify_rotational_surface(S)
+        z = stencils[0].args[0][:, 1, 2, 2]  # the fine level's centre latitudes
+        ana = principal_curvatures_analytic(S.momentum_profile, z)
+        assert np.max(np.abs(records[0].kwargs["km"] - ana.km)) <= 1e-8
 
     def test_report_shape(self):
         r = classify_rotational_surface(make_quadric_surface(QuadricMomentum(1.0, -1.0)))
