@@ -419,8 +419,7 @@ class ReconstructionMap:
         self._branch_lambda = g_hi - self._g_lo
         # G ends at 0 where the band ends in a pole crossing (K = 0 there),
         # and at a swing of +-pi/4 or +-pi/2 at every other turning point;
-        # the test sits halfway to the smaller swing, because cos(+-pi/2) =
-        # 6e-17 leaves the swing of a K below ~1e-16 unfinished
+        # the test sits halfway to the smaller swing
         self._jump_lo, self._jump_hi = (np.pi if abs(g) < np.pi / 8 else 0.0 for g in ends)
 
     # -- chart pieces ------------------------------------------------------
@@ -435,7 +434,9 @@ class ReconstructionMap:
         """The profile's antiderivative G at chart coordinate u."""
         z = self.z_of_u(u)
         root_h = np.sqrt(self.profile.h_factor(z, *self._ends))
-        root_g = self._r * np.abs(np.cos(u)) * root_h
+        # |cos u| as sin(pi/2 - |u|): the difference is exact next to the ends,
+        # so sqrt(g) is exactly 0 at u = +-pi/2 and accurate beside them
+        root_g = self._r * np.sin(np.pi / 2 - np.abs(u)) * root_h
         return self.profile.longitude(z, self._ends[0], self._r * (1.0 + np.sin(u)), root_g)
 
     @property

@@ -27,10 +27,11 @@ from .errors import (
     MissingParams,
 )
 from .sphere import WRITE_CHUNK_ROWS, float_records
-from .surfaces import RotationalSurface, surface_point
+from .surfaces import RotationalSurface, revolve
 
 POLE_EPS = 1e-9
 CULL_EPS = 1e-6
+AXIS_EPS = 1e-14
 
 
 def stereographic(p: np.ndarray) -> np.ndarray:
@@ -90,17 +91,19 @@ def spiric_residual(coeffs: SpiricCoeffs, uv: np.ndarray) -> np.ndarray:
 
 
 def cyclide_coeffs(spec) -> CyclideCoeffs:
-    """Darboux-cyclide coefficients of a quadric surface's projection."""
+    """Darboux-cyclide coefficients of a quadric surface's projection, from
+    the squares C^2, D^2 and 1 - D^2 of its (mu, c) record."""
     cyl = getattr(spec, "cylinder", None)
     if cyl is None or cyl.kind is not ConicKind.HORIZONTAL:
         raise MissingParams("cyclide coefficients need horizontal (C, D) parameters")
-    c2, d2 = cyl.p * cyl.p, cyl.q * cyl.q
+    m = spec.moduli
+    lam = -m.c2 * m.one_minus_d2
     return CyclideCoeffs(
-        lam=c2 * (d2 - 1.0),
-        L=2.0 * c2 * (d2 + 1.0),
-        q0=c2 * (d2 - 1.0),
-        qx2=-4.0 * d2,
-        qz2=-4.0 * c2,
+        lam=lam,
+        L=2.0 * m.c2 * (m.d2 + 1.0),
+        q0=lam,
+        qx2=-4.0 * m.d2,
+        qz2=-4.0 * m.c2,
     )
 
 
@@ -143,25 +146,6 @@ class Mesh:
             raise DegenerateInput("non-finite vertex")
 
 
-def _triangle_areas(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    if verts.shape[1] == 3:
-        # one np.take into rows per coordinate and corner; |a x b| with the
-        # products and sums in np.cross's and np.linalg.norm's order
-        corners = np.take(np.ascontiguousarray(verts.T), faces.T, axis=1)
-        a0, a1, a2 = corners[:, 1] - corners[:, 0]
-        b0, b1, b2 = corners[:, 2] - corners[:, 0]
-        cx, cy, cz = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-        return 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
-    a = verts[faces[:, 1]] - verts[faces[:, 0]]
-    b = verts[faces[:, 2]] - verts[faces[:, 0]]
-    # 4D: area from the Gram determinant
-    gram = (
-        np.einsum("ij,ij->i", a, a) * np.einsum("ij,ij->i", b, b)
-        - np.einsum("ij,ij->i", a, b) ** 2
-    )
-    return 0.5 * np.sqrt(np.clip(gram, 0.0, None))
-
-
 def mesh_from_surface(
     surface: RotationalSurface,
     ns: int = 64,
@@ -171,9 +155,13 @@ def mesh_from_surface(
     """Tensor-product triangulation of the surface over (s, t).
 
     The rotation seam t = pi is always identified; the s-seam is identified
-    for closed profiles.  Degenerate triangles (area < 1e-14, e.g. at the
-    axis points of moons) are dropped, and with project=True vertices within
-    1e-6 of the projection pole are culled with a warning.
+    for closed profiles.  A row of the mesh whose profile point lies within
+    1e-14 of the rotation axis (|z| < AXIS_EPS, e.g. the axis points of
+    moons) collapses to one point, and each quad's triangle with an edge on
+    such a row is dropped.  The faces list the kept first triangles
+    (v00, v10, v11), then the kept second ones (v00, v11, v01), each
+    row-major.  With project=True vertices within 1e-6 of the projection
+    pole are culled with a warning.
     """
     if ns < 4 or nt < 4:
         raise DegenerateInput("need ns, nt >= 4")
@@ -184,19 +172,23 @@ def mesh_from_surface(
     else:
         s = lo + (hi - lo) * np.arange(ns) / (ns - 1)
     t = -np.pi + 2.0 * np.pi * np.arange(nt) / nt
-    verts4 = surface_point(surface, s[:, None], t[None, :]).reshape(-1, 4)
+    pts = surface.profile.point(s)
+    verts4 = revolve(pts[:, None, :], t).reshape(-1, 4)
 
+    # vertex numbers by row and column, and the same with column j + 1 (the
+    # t-seam identified); of each quad, (v00, v10, v11) has its edge
+    # (v10, v11) on row r + 1 and (v00, v11, v01) its edge (v00, v01) on row r
+    grid = np.arange(ns * nt).reshape(ns, nt)
+    right = np.roll(grid, -1, axis=1)
+    on_axis = np.abs(pts[:, 2]) < AXIS_EPS
     rows = np.arange(ns if closed_s else ns - 1)
-    cols = np.arange(nt)
-    i0 = rows[:, None] * nt + cols[None, :]
-    i1 = ((rows + 1) % ns)[:, None] * nt + cols[None, :]
-    j1 = (cols + 1) % nt
-    v00, v10 = i0.ravel(), i1.ravel()
-    v01 = (rows[:, None] * nt + j1[None, :]).ravel()
-    v11 = (((rows + 1) % ns)[:, None] * nt + j1[None, :]).ravel()
+    a, b = rows[~on_axis[(rows + 1) % ns]], rows[~on_axis[rows]]
     faces = np.concatenate(
-        [np.stack([v00, v10, v11], axis=1), np.stack([v00, v11, v01], axis=1)]
-    )
+        [
+            np.stack([grid[a], grid[(a + 1) % ns], right[(a + 1) % ns]], axis=-1),
+            np.stack([grid[b], right[(b + 1) % ns], right[b]], axis=-1),
+        ]
+    ).reshape(-1, 3)
 
     verts = verts4
     if project:
@@ -211,9 +203,6 @@ def mesh_from_surface(
             faces = remap[faces]
             verts4 = verts4[keep]
         verts = stereographic(verts4)
-
-    areas = _triangle_areas(verts, faces)
-    faces = faces[areas >= 1e-14]
     return Mesh(vertices=verts, faces=faces)
 
 

@@ -161,6 +161,10 @@ class TestReconstruct:
             # closed-form longitude makes the whole turn, with no pole jump
             *[["--constant", k] for k in ("1e-7", "-1e-7", "1e-6", "1.4e-6")],
             *[["--linear", k0] for k0 in ("1e-7", "-1e-6", "1.4e-6")],
+            # bands that end within ~|k| of a pole: sqrt(g) is exactly 0 at
+            # the chart ends, so G ends at its exact swing
+            *[["--constant", k] for k in ("1e-17", "-1e-17", "1e-15", "1e-12")],
+            *[["--linear", k0] for k0 in ("1e-17", "-1e-12")],
         ],
     )
     def test_near_pole(self, capsys, flags):

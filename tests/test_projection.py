@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -19,7 +20,6 @@ from spheriq.projection import (
     stereographic,
     write_obj,
 )
-from spheriq.projection import _triangle_areas
 from spheriq.sphere import WRITE_CHUNK_ROWS
 from spheriq.surfaces import (
     SurfaceFamily,
@@ -30,6 +30,15 @@ from spheriq.surfaces import (
 )
 
 from helpers import obj_reference, read_obj, traced_peak
+
+
+def wedge_areas(mesh: Mesh) -> np.ndarray:
+    """Triangle areas |a ^ b| / 2 from the pairwise products of the edge
+    vectors a, b, for 3- and 4-vector vertices alike."""
+    v, f = mesh.vertices, mesh.faces
+    a, b = v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]]
+    i, j = np.triu_indices(v.shape[1], 1)
+    return 0.5 * np.linalg.norm(a[:, i] * b[:, j] - a[:, j] * b[:, i], axis=1)
 
 
 class TestStereo:
@@ -191,8 +200,53 @@ class TestMesh:
     def test_moon_axis_faces_dropped(self):
         S = make_degenerate(SurfaceFamily.SPHERICAL_MOON, np.pi / 3)
         mesh = mesh_from_surface(S, ns=24, nt=24, project=False)
-        areas = _triangle_areas(mesh.vertices, mesh.faces)
-        assert np.min(areas) >= 1e-14
+        assert np.min(wedge_areas(mesh)) >= 1e-14
+
+    def test_tiny_profile_keeps_every_face(self):
+        # a type-III profile 6.5e-5 long: some faces have areas ~3.8e-15, yet
+        # no row lies on the rotation axis, so all 2 * 95 * 96 are kept
+        S = make_quadric_surface(QuadricMomentum(5.475523692373472e-9, -22.09385359034698))
+        assert S.profile.length < 1e-4
+        mesh = mesh_from_surface(S, ns=96, nt=96, project=True)
+        assert len(mesh.faces) == 2 * 95 * 96
+        assert np.min(wedge_areas(mesh)) < 1e-14
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: make_degenerate(SurfaceFamily.UMBILICAL, 3.0),
+            lambda: make_degenerate(SurfaceFamily.SPHERICAL_MOON, 2.0),
+            lambda: make_fake_paraboloid(1.0),
+        ],
+        ids=["umbilical", "moon", "fake-paraboloid"],
+    )
+    def test_no_face_on_a_collapsed_row(self, make):
+        # each of these profiles meets the rotation axis, where a mesh row
+        # collapses to one point; no face keeps two of that row's vertices
+        mesh = mesh_from_surface(make(), ns=16, nt=16, project=False)
+        v = mesh.vertices
+        on_axis = np.hypot(v[:, 2], v[:, 3])[mesh.faces] < 1e-14
+        assert np.any(on_axis)
+        assert np.all(np.sum(on_axis, axis=1) <= 1)
+
+    @pytest.mark.parametrize(
+        "make, n",
+        [
+            (lambda: make_quadric_surface(QuadricMomentum(0.5, 0.5)), 48),
+            (lambda: make_degenerate(SurfaceFamily.UMBILICAL, 1.0), 24),
+            (lambda: make_degenerate(SurfaceFamily.SPHERICAL_MOON, np.pi / 3), 24),
+            (lambda: make_fake_paraboloid(-2.0), 16),
+        ],
+        ids=["quadric", "umbilical", "moon", "fake-paraboloid"],
+    )
+    def test_projection_keeps_the_faces(self, make, n):
+        # away from the projection pole no vertex is culled, and the face set
+        # is decided on the surface, not in the output coordinates
+        S = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            projected = mesh_from_surface(S, ns=n, nt=n, project=True)
+        assert np.array_equal(projected.faces, mesh_from_surface(S, ns=n, nt=n).faces)
 
 
 class TestObj:
@@ -274,28 +328,13 @@ class TestObj:
         assert path.read_bytes() == obj_reference(mesh)
 
     def test_remapped_faces_match_reference(self, tmp_path):
-        # the pole vertices are culled, so faces are remapped and area-filtered
+        # the pole vertices are culled, so faces are remapped
         S = make_degenerate(SurfaceFamily.EQUATORIAL)
         with pytest.warns(UserWarning, match="culled"):
             mesh = mesh_from_surface(S, ns=16, nt=16, project=True)
         path = tmp_path / "equatorial.obj"
         write_obj(mesh, path)
         assert path.read_bytes() == obj_reference(mesh)
-
-    @pytest.mark.parametrize("name", ["quadric", "torus", "equatorial"])
-    def test_triangle_areas_match_cross_norm(self, name):
-        # the component-wise cross product is bit-identical to np.cross and norm
-        if name == "equatorial":
-            with pytest.warns(UserWarning, match="culled"):
-                mesh = mesh_from_surface(make_degenerate(SurfaceFamily.EQUATORIAL), 16, 16, True)
-        elif name == "torus":
-            mesh = mesh_from_surface(make_degenerate(SurfaceFamily.STANDARD_TORUS, 0.5), 8, 8, True)
-        else:
-            mesh = mesh_from_surface(make_quadric_surface(QuadricMomentum(0.5, 0.5)), 48, 48, True)
-        v, f = mesh.vertices, mesh.faces
-        a, b = v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]]
-        want = 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
-        assert np.array_equal(_triangle_areas(v, f), want)
 
     def test_scratch_memory(self, tmp_path):
         # WRITE_CHUNK_ROWS sets the peak, the vertex records of one block:
