@@ -3,17 +3,17 @@
 Curves are handled as discrete samples parameterized by arc length.  The
 geodesic curvature of a unit-speed curve u(s) is det(u, u', u'') and the
 angular momentum about the z-axis is x'y - xy' (`frame_invariants`);
-`invariants_from_samples` fills both from one finite-difference pass over
-uniformly spaced samples.  The 5-point weights `D1_WEIGHTS`, `D2_WEIGHTS`
-and their Richardson step `richardson` serve these curves, the surface
-curvatures and the classifier alike.  A `SampledCurve` checks that its
-samples are spaced by arc length: each chord speed must reach 1 - 10 h^2,
-less half the square of the larger turning angle at its two ends, so that
-samples slerped across the corners of a point chain, or along a strongly
-curved curve, pass while mis-spaced ones do not.  The geographic map
-`cartesian_to_geo` broadcasts over point arrays.  `float_records` writes
-blocks of floats byte for byte as `repr` does, for the CSV writer here and
-the OBJ writer in `projection`.
+`invariants_from_samples` fills both from one finite-difference pass.
+`stencil_derivatives` is the one home of the 5-point stencils on the nodes
+`STENCIL_OFFSETS`: these curves, the surface curvatures' node blocks and
+the classifier's Richardson levels (`richardson`) differentiate through it.
+A `SampledCurve` checks that its samples are spaced by arc length: each
+chord speed must reach 1 - 10 h^2, less half the square of the larger
+turning angle at its two ends, so that samples slerped across the corners
+of a point chain, or along a strongly curved curve, pass while mis-spaced
+ones do not.  The geographic map `cartesian_to_geo` broadcasts over point
+arrays.  `float_records` writes blocks of floats byte for byte as `repr`
+does, for the CSV writer here and the OBJ writer in `projection`.
 """
 
 from __future__ import annotations
@@ -197,9 +197,10 @@ def _turning_angles(points: np.ndarray) -> np.ndarray:
 
 
 # the 5-point central weights of the first and second derivative, in units of
-# 1/h and 1/h^2, on the nodes s + (-2..2) h; both are O(h^4) (Fornberg,
+# 1/h and 1/h^2, on the nodes s + STENCIL_OFFSETS h; both are O(h^4) (Fornberg,
 # "Generation of finite difference formulas on arbitrarily spaced grids",
 # Math. Comp. 51, 1988)
+STENCIL_OFFSETS = np.arange(-2.0, 3.0)
 D1_WEIGHTS = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 D2_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
@@ -209,14 +210,26 @@ def richardson(fine, coarse):
     return (16.0 * fine - coarse) / 15.0
 
 
+def stencil_derivatives(y: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
+    """First and second 5-point derivatives at rows 2 .. n - 3 of samples y spaced
+    h apart on axis -2, in arrays shaped like y whose two end rows at each side
+    stay 0.  h is a float, or an array that broadcasts against the leading axes
+    of y with two trailing axes of 1, so that one call serves several steps."""
+    d1, d2 = np.zeros_like(y), np.zeros_like(y)
+    for d, weights, scale in ((d1, D1_WEIGHTS, h), (d2, D2_WEIGHTS, h * h)):
+        inner = d[..., 2:-2, :]
+        for k, w in enumerate(weights):
+            inner += w * y[..., k : y.shape[-2] - 4 + k, :]
+        inner /= scale
+    return d1, d2
+
+
 def curve_derivatives(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second derivatives of sampled columns y(s).
 
-    Rows 2 .. n - 3 take both from D1_WEIGHTS and D2_WEIGHTS, one shifted
-    slice of y per weight; rows 1 and n - 2 take 3-point central stencils
-    and rows 0 and n - 1 one-sided second-order ones.  The spacing of s must
-    be uniform.
-    """
+    Rows 2 .. n - 3 come from `stencil_derivatives`, rows 1 and n - 2 from
+    3-point central stencils and rows 0 and n - 1 from one-sided second-order
+    ones.  The spacing of s must be uniform."""
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(s)
@@ -225,14 +238,8 @@ def curve_derivatives(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
     ds = np.diff(s)
     if np.max(np.abs(ds - ds.mean())) > 1e-9 * abs(ds.mean()):
         raise DegenerateInput("derivative stencils need uniformly spaced s")
-    d1 = np.zeros_like(y)
-    d2 = np.zeros_like(y)
     h = (s[-1] - s[0]) / (n - 1)
-    for d, weights, scale in ((d1, D1_WEIGHTS, h), (d2, D2_WEIGHTS, h * h)):
-        inner = d[2:-2]
-        for k, w in enumerate(weights):
-            inner += w * y[k : n - 4 + k]
-        inner /= scale
+    d1, d2 = stencil_derivatives(y, h)
     d1[1] = (y[2] - y[0]) / (2 * h)
     d1[-2] = (y[-1] - y[-3]) / (2 * h)
     d2[1] = (y[0] - 2 * y[1] + y[2]) / (h * h)

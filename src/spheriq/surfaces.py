@@ -46,7 +46,8 @@ from .momentum import (
     feasible_intervals,
 )
 from .sphere import (
-    D1_WEIGHTS, D2_WEIGHTS, frame_invariants, great_circle_point, parallel_point, small_circle_point
+    STENCIL_OFFSETS, frame_invariants, great_circle_point, parallel_point, small_circle_point,
+    stencil_derivatives,
 )
 
 
@@ -154,16 +155,14 @@ class PrincipalCurvatures:
 
 
 def curvatures_from_nodes(pts: np.ndarray, h) -> PrincipalCurvatures:
-    """km = kappa and kp = momentum / z at the centres of 5-point stencils.
+    """km = kappa and kp = momentum / z at the centres of 5-point node blocks.
 
-    pts holds each stencil's profile points s + (-2..2) h on axis -2, shape
-    (..., 5, 3).  h is a float, or an array that broadcasts against the
-    leading axes of pts with a trailing axis of 1, so that one call serves
-    stencils of several step sizes.  Raises ZeroLatitude where a centre's
-    latitude vanishes (z^2 < 1e-12).
-    """
+    pts (..., 5, 3) holds the profile points s + STENCIL_OFFSETS h: 5-sample
+    curves for `sphere.stencil_derivatives`, which says how h broadcasts.
+    Raises ZeroLatitude where a centre's latitude vanishes (z^2 < 1e-12)."""
     p = pts[..., 2, :]
-    kappa, mom = frame_invariants(p, D1_WEIGHTS @ pts / h, D2_WEIGHTS @ pts / (h * h))
+    d1, d2 = stencil_derivatives(pts, h)
+    kappa, mom = frame_invariants(p, d1[..., 2, :], d2[..., 2, :])
     z = p[..., 2]
     if np.any(z * z < 1e-12):
         raise ZeroLatitude(f"latitude |z| = {np.min(np.abs(z)):.3g} at a stencil centre")
@@ -175,13 +174,13 @@ def principal_curvatures_numeric(
 ) -> PrincipalCurvatures:
     """km and kp from 5-point stencils centred at s, broadcast over s.
 
-    One profile call evaluates every stencil node s + (-2..2) h.  Near the
-    ends of an open profile the stencils reach past its domain, where the
-    chart continues the curve smoothly through the turning point.
+    One profile call evaluates every stencil node s + STENCIL_OFFSETS h.
+    Near the ends of an open profile the stencils reach past its domain,
+    where the chart continues the curve smoothly through the turning point.
     """
     s = np.asarray(s, dtype=float)
     _check_domain(surface, s)
-    return curvatures_from_nodes(surface.profile.point(s[..., None] + np.arange(-2, 3) * h), h)
+    return curvatures_from_nodes(surface.profile.point(s[..., None] + STENCIL_OFFSETS * h), h)
 
 
 def principal_curvatures_analytic(profile: MomentumProfile, z) -> PrincipalCurvatures:

@@ -26,7 +26,7 @@ from .momentum import (
     SpheroCylindricalMomentum,
     feasible_intervals,
 )
-from .sphere import richardson
+from .sphere import STENCIL_OFFSETS, richardson
 from .surfaces import (
     PrincipalCurvatures,
     QuadricSpec,
@@ -171,10 +171,9 @@ def solve_cubic_weingarten(mu: float, c: float) -> CubicSolveResult:
 
 CUBIC_FIT_TOL = 1e-6
 
-# the steps 2h and h of the 5-point curvature stencil for `sphere.richardson`,
-# one row each, and the ten node offsets of each sample's stencils, coarse first
-_RICHARDSON_H = np.array([[2e-3], [1e-3]])
-_NODE_OFFSETS = (_RICHARDSON_H * np.arange(-2, 3)).ravel()
+# the steps 2h and h of `sphere.richardson` and each sample's ten nodes, coarse first
+_RICHARDSON_H = np.array([2e-3, 1e-3])[:, None, None]
+_NODE_OFFSETS = np.multiply.outer(_RICHARDSON_H, STENCIL_OFFSETS).ravel()
 
 
 def classify_rotational_surface(surface) -> CubicSolveResult | NotCubic:

@@ -1,6 +1,6 @@
 """Properties of the conic layer and of the cubic relation over whole
-regions of the moduli plane, of the exact discriminant, and of the float
-records the CSV and OBJ writers are made of.
+regions of the moduli plane, of the exact discriminant, of the one 5-point
+stencil, and of the float records the CSV and OBJ writers are made of.
 
 Each strategy draws its class directly, with no filter, so no example is
 rejected.  Runs are derandomized and keep no example database, so the suite
@@ -32,8 +32,17 @@ from spheriq.conics import (
 )
 from spheriq.errors import BadParameter
 from spheriq.momentum import QuadricMomentum, band_latitudes
-from spheriq.sphere import WRITE_CHUNK_ROWS, float_records
+from spheriq.sphere import (
+    D1_WEIGHTS,
+    D2_WEIGHTS,
+    WRITE_CHUNK_ROWS,
+    curve_derivatives,
+    float_records,
+    frame_invariants,
+    small_circle_point,
+)
 from spheriq.surfaces import (
+    curvatures_from_nodes,
     make_quadric,
     make_quadric_surface,
     principal_curvatures_analytic,
@@ -294,6 +303,53 @@ class TestDiscriminantProperty:
                 _discriminant(mu, c)
             return
         assert _discriminant(mu, c).hex() == want.hex()
+
+
+def shifted_slice_interior(y, h):
+    """Rows 2 .. n - 3 of both derivatives by the shifted-slice loop that
+    `curve_derivatives` ran before the stencil had one home."""
+    n = len(y)
+    d1, d2 = np.zeros_like(y), np.zeros_like(y)
+    for d, weights, scale in ((d1, D1_WEIGHTS, h), (d2, D2_WEIGHTS, h * h)):
+        inner = d[2:-2]
+        for k, w in enumerate(weights):
+            inner += w * y[k : n - 4 + k]
+        inner /= scale
+    return d1[2:-2], d2[2:-2]
+
+
+class TestStencilProperty:
+    @PROPERTY
+    @given(st.integers(5, 300), st.integers(1, 3), st.floats(1e-4, 0.1), st.integers(0, 2**32 - 1))
+    def test_curve_interior_matches_shifted_slices(self, n, cols, step, seed):
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(-1.0, 1.0) + step * np.arange(n)
+        y = rng.normal(size=(n, cols))
+        d1, d2 = curve_derivatives(s, y)
+        r1, r2 = shifted_slice_interior(y, (s[-1] - s[0]) / (n - 1))
+        assert np.array_equal(d1[2:-2], r1) and np.array_equal(d2[2:-2], r2)
+
+    @PROPERTY
+    @given(
+        st.integers(5, 300),
+        st.integers(3, 10),
+        st.integers(0, 1000),
+        st.floats(-2.0, 2.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_node_blocks_are_five_sample_curves(self, n, k, j0, delta, seed):
+        # a dyadic step makes the curve's own spacing (s[-1] - s[0]) / (n - 1)
+        # exactly h, so both paths see the same samples and the same step
+        h = 2.0**-k
+        s = (j0 + np.arange(n)) * h
+        rotation = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))[0]
+        points = small_circle_point(delta, s) @ rotation
+        kappa, mom = frame_invariants(points, *curve_derivatives(s, points))
+        keep = np.abs(points[2:-2, 2]) > 1e-3  # centres off the axis, where kp is defined
+        blocks = np.stack([points[i : i + 5] for i in range(n - 4)])[keep]
+        got = curvatures_from_nodes(blocks, h)
+        assert np.array_equal(got.km, kappa[2:-2][keep])
+        assert np.array_equal(got.kp, (mom / points[:, 2])[2:-2][keep])
 
 
 ascii_bytes = st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=3).map(str.encode)

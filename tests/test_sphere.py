@@ -10,6 +10,7 @@ from spheriq.sphere import (
     SampledCurve,
     cartesian_to_geo,
     check_unit,
+    curve_derivatives,
     float_records,
     geo_arrays_to_points,
     geodesic_distance,
@@ -19,6 +20,7 @@ from spheriq.sphere import (
     resample_by_arclength,
     richardson,
     small_circle_point,
+    stencil_derivatives,
     write_curve_csv,
 )
 
@@ -45,6 +47,12 @@ def great_circle_curve(theta, step):
 
 def small_circle_curve(delta, step):
     return sampled(small_circle_point, delta, step, 2 * np.pi / np.cosh(delta))
+
+
+def richardson_levels(step):
+    """The small circle delta = 1 at step and its every other sample at 2 step."""
+    fine = invariants_from_samples(small_circle_curve(1.0, step=step))
+    return fine, invariants_from_samples(SampledCurve(s=fine.s[::2], points=fine.points[::2]))
 
 
 class TestGeodesicDistance:
@@ -119,14 +127,22 @@ class TestCurvature:
         # levels h and 2h share the even samples; the extrapolated curvature
         # there is ~1e-3 of the fine level's error, and an O(h^2) step
         # (4 fine - coarse) / 3 would make it 4 times larger instead
-        fine = invariants_from_samples(small_circle_curve(1.0, step=4e-2))
-        coarse = invariants_from_samples(
-            SampledCurve(s=fine.s[::2], points=fine.points[::2])
-        )
+        fine, coarse = richardson_levels(4e-2)
         k_fine = fine.kappa[::2][2:-2]
         k_extra = richardson(k_fine, coarse.kappa[2:-2])
         err_fine = np.max(np.abs(k_fine + np.sinh(1.0)))
         assert np.max(np.abs(k_extra + np.sinh(1.0))) <= err_fine / 8
+        # the 2h level is the stencil on a strided view of the fine samples
+        d1, d2 = stencil_derivatives(fine.points[::2], 2 * 4e-2)
+        c1, c2 = curve_derivatives(coarse.s, coarse.points)
+        assert np.array_equal(d1[2:-2], c1[2:-2]) and np.array_equal(d2[2:-2], c2[2:-2])
+        # |k_h - k_2h| / 15 reads the fine level's true curvature error to
+        # within 0.6 % at these steps (ratios 0.9945 to 1.0010)
+        for step in (8e-2, 4e-2, 2e-2, 1e-2):
+            fine, coarse = richardson_levels(step)
+            k_fine = fine.kappa[::2][5:-5]
+            estimate = np.abs(k_fine - coarse.kappa[5:-5]) / 15
+            assert_allclose(estimate / np.abs(k_fine + np.sinh(1.0)), 1.0, rtol=0, atol=0.01)
 
     def test_too_few_samples(self):
         pts = great_circle_curve(np.pi / 3, step=1e-2).points[:4]
